@@ -23,7 +23,9 @@ import numpy as np
 from .combinatorics import count_matchings, enumerate_matchings
 from .core import BitString, PerfectMatching
 from .errors import BudgetExceeded
-from .instances import NOISE_BIAS, _sample_t_arrays
+from .fourier import _popcounts, matching_image_table
+from .instances import NOISE_BIAS, _sample_promise_arrays, _sample_t_arrays, sample_T
+from .quantum import majority_success
 from .seeding import substream
 
 #: Work cap for the exact joint-mass enumeration (2^2n * matchings * 2^n).
@@ -35,7 +37,7 @@ DEFAULT_MAP_BUDGET = 1 << 16
 
 @dataclass(frozen=True)
 class OneWayProtocol:
-    """Alice/Bob maps for a c-bit one-way protocol."""
+    """Alice/Bob maps for a c-bit one-way protocol (the oracle route)."""
 
     name: str
     message_bits: int
@@ -96,7 +98,8 @@ def subset_protocol(subset: Iterable[int]) -> OneWayProtocol:
     Bob recomputes the parity of every edge with both endpoints in the
     subset and votes the corresponding w bits against them: a majority of
     agreements means source 0, of disagreements source 1, and a tie (in
-    particular no fully known edge) falls back to a fair coin.
+    particular no fully known edge) falls back to a fair coin.  An oracle
+    route: runs use the array vote in :func:`subset_trial_outcomes`.
     """
     positions = tuple(sorted({int(i) for i in subset}))
     if positions and positions[0] < 1:
@@ -142,15 +145,15 @@ def known_edge_success(k: int) -> Fraction:
     """Success of the agreement vote given k fully known edges.
 
     The k observations are independent and each points at the source with
-    probability 3/4; majority wins, exact ties flip a fair coin.
+    probability 3/4; majority wins, exact ties flip a fair coin.  With
+    coin-flip ties, 2j votes succeed exactly as often as 2j - 1 votes, so
+    this is the odd-r majority tail.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    p, q = NOISE_BIAS, 1 - NOISE_BIAS
-    win = sum(math.comb(k, j) * p**j * q ** (k - j) for j in range(k // 2 + 1, k + 1))
-    if k % 2 == 0:
-        win += Fraction(1, 2) * math.comb(k, k // 2) * (p * q) ** (k // 2)
-    return win
+    if k == 0:
+        return Fraction(1, 2)
+    return majority_success(NOISE_BIAS, k - 1 + k % 2)
 
 
 def subset_trial_outcomes(
@@ -162,6 +165,8 @@ def subset_trial_outcomes(
     Trial t draws from substream(seed, t), so any single trial can be
     reproduced in isolation.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     positions = np.array(sorted({int(i) for i in subset}), dtype=np.int64)
     if positions.size and (positions[0] < 1 or positions[-1] > 2 * n):
         raise ValueError("subset positions out of range 1..2n")
@@ -171,17 +176,14 @@ def subset_trial_outcomes(
     correct = np.empty(trials, dtype=bool)
     for t in range(trials):
         rng = substream(seed, t)
-        while True:
+        if restrict_promise:
+            x, pairs, w, b, disagree = _sample_promise_arrays(n, rng)
+        else:
             x, pairs, w, b = _sample_t_arrays(n, rng)
-            parities = x[pairs[:, 0]] ^ x[pairs[:, 1]]
-            if not restrict_promise:
-                break
-            d = int(np.count_nonzero(parities != w))
-            if 3 * d <= n or 3 * d >= 2 * n:
-                break
+            disagree = x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ w
         internal = mask[pairs[:, 0]] & mask[pairs[:, 1]]
         k = int(np.count_nonzero(internal))
-        agree = int(np.count_nonzero(w[internal] == parities[internal]))
+        agree = k - int(np.count_nonzero(disagree[internal]))
         if 2 * agree > k:
             guess = 0
         elif 2 * agree < k:
@@ -200,23 +202,15 @@ def run_subset_trials(
     positions = sorted({int(i) for i in subset})
     _, correct = subset_trial_outcomes(n, positions, trials, seed, restrict_promise)
     hits = int(np.count_nonzero(correct))
-    p_hat = hits / trials
-    return SuccessReport(
-        protocol=f"subset-{len(positions)}",
-        message_bits=len(positions),
-        method="monte_carlo",
-        success_prob=p_hat,
-        trials=trials,
-        sigma=math.sqrt(p_hat * (1.0 - p_hat) / trials),
-    )
+    return _monte_carlo_report(f"subset-{len(positions)}", len(positions), hits, trials)
 
 
 def run_protocol_trials(
     protocol: OneWayProtocol, n: int, trials: int, seed: int
 ) -> SuccessReport:
-    """Monte-Carlo success of an arbitrary protocol against the mixture."""
-    from .instances import sample_T  # local to avoid import cycle at module load
-
+    """Monte-Carlo success of any protocol against the mixture (oracle route)."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     hits = 0
     for t in range(trials):
         rng = substream(seed, t)
@@ -224,10 +218,16 @@ def run_protocol_trials(
         message = protocol.alice(inst.x)
         guess = protocol.bob(message, inst.matching, inst.w, rng)
         hits += guess == inst.source
+    return _monte_carlo_report(protocol.name, protocol.message_bits, hits, trials)
+
+
+def _monte_carlo_report(
+    protocol: str, message_bits: int, hits: int, trials: int
+) -> SuccessReport:
     p_hat = hits / trials
     return SuccessReport(
-        protocol=protocol.name,
-        message_bits=protocol.message_bits,
+        protocol=protocol,
+        message_bits=message_bits,
         method="monte_carlo",
         success_prob=p_hat,
         trials=trials,
@@ -249,25 +249,16 @@ def _check_enumeration_budget(n: int, budget: int) -> None:
 
 def _scaled_densities(n: int) -> tuple[np.ndarray, np.ndarray]:
     """4^n * mu_b as integer tables over noise patterns e in {0,1}^n."""
-    ones = np.array([bin(e).count("1") for e in range(1 << n)], dtype=np.int64)
+    ones = _popcounts(1 << n)
     mu1 = 3**ones
     mu0 = 3 ** (n - ones)
     return mu0, mu1
 
 
-def _image_indices(pairs: Sequence[tuple[int, int]], n: int) -> np.ndarray:
-    """Edge-parity image index for every x index, for one matching."""
-    xs = np.arange(1 << (2 * n), dtype=np.int64)
-    out = np.zeros_like(xs)
-    for i, (k, l) in enumerate(pairs):
-        out |= (((xs >> (k - 1)) ^ (xs >> (l - 1))) & 1) << i
-    return out
-
-
 def subset_success_exact(
     n: int, subset: Iterable[int], budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> Fraction:
-    """Exact mixture success of the subset protocol at tiny n."""
+    """Exact mixture success of the subset protocol at tiny n (oracle route)."""
     _check_enumeration_budget(n, budget)
     positions = sorted({int(i) for i in subset})
     if positions and (positions[0] < 1 or positions[-1] > 2 * n):
@@ -280,7 +271,7 @@ def subset_success_exact(
     # twice the winning mass per (x, M, w) cell, so coin-flip ties stay integral
     numer2 = 0
     for pairs in matchings:
-        image = _image_indices(pairs, n)
+        image = matching_image_table(PerfectMatching(pairs))
         internal = [
             i for i, (k, l) in enumerate(pairs) if in_subset[k - 1] and in_subset[l - 1]
         ]
@@ -348,7 +339,7 @@ def bayes_success(
     size_w = 1 << n
     winning = 0
     for pairs in matchings:
-        image = _image_indices(pairs, n)
+        image = matching_image_table(PerfectMatching(pairs))
         # mass[m][w][b] = sum over x in message class m of 4^n mu_b(w xor Mx)
         mass0 = np.zeros((1 << c, size_w), dtype=np.int64)
         mass1 = np.zeros((1 << c, size_w), dtype=np.int64)
@@ -427,7 +418,7 @@ def _bruteforce_one_bit(n: int, enumeration_budget: int) -> tuple[Fraction, int]
     mass_by_x = np.empty((num_x, cells), dtype=np.int64)
     ws = np.arange(size_w, dtype=np.int64)
     for mi, pairs in enumerate(matchings):
-        image = _image_indices(pairs, n)
+        image = matching_image_table(PerfectMatching(pairs))
         for x_idx in range(num_x):
             e = ws ^ int(image[x_idx])
             base = mi * size_w * 2

@@ -86,10 +86,8 @@ def run_separation_sweep(
         hits = 0
         for t in range(trials):
             rng = substream(seed, grid_idx, 0, t)
-            x, pairs, w, b, _ = _sample_promise_arrays(n, rng)
-            disagree = (x[pairs[:, 0]] ^ x[pairs[:, 1]]) ^ w
-            ones = int(disagree[rng.integers(0, n, size=reps)].sum())
-            hits += (1 if 2 * ones > reps else 0) == b
+            _, _, _, b, disagree = _sample_promise_arrays(n, rng)
+            hits += quantum.majority_vote(disagree, reps, rng) == b
         q_hat = hits / trials
         report = classical.run_subset_trials(
             n,
@@ -125,6 +123,8 @@ def _stage_seed(seed: int, stage: int) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     rows = []
     for i in range(args.count):
         inst = sample_T(args.n, substream(args.seed, i))

@@ -69,7 +69,8 @@ def gamma_bound(n: int, k: int) -> float:
     """Analytic upper bound (k/2n)^(k/2); checked against the exact value."""
     _validate_weight(n, k)
     bound = Fraction(k, 2 * n) ** (k // 2)
-    assert gamma_exact(n, k) <= bound
+    if gamma_exact(n, k) > bound:
+        raise RuntimeError(f"gamma_exact({n}, {k}) exceeds the bound {bound}")
     return float(bound)
 
 

@@ -123,7 +123,7 @@ def inverse_transform(spectrum: FourierSpectrum) -> CubeFunction:
 
 
 def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
-    """XOR convolution by the defining double sum (no normalization)."""
+    """XOR convolution by the defining double sum: the O(4^m) oracle route."""
     if f.m != g.m:
         raise DimensionMismatch(f"convolution of dimensions {f.m} and {g.m}")
     size = 1 << f.m

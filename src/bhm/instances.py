@@ -120,6 +120,7 @@ def _sample_t_arrays(
 
 
 def _classify_counts(n: int, d: int) -> PromiseClass:
+    """The promise rule, the one place it is written: 3d <= n or 3d >= 2n."""
     if 3 * d <= n:
         return PromiseClass.ZERO
     if 3 * d >= 2 * n:
@@ -129,14 +130,26 @@ def _classify_counts(n: int, d: int) -> PromiseClass:
 
 def _sample_promise_arrays(
     n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Rejection-sample arrays until the promise holds; also returns d."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Rejection-sample until the promise holds; also returns parities xor w."""
     while True:
         x, pairs, w, b = _sample_t_arrays(n, rng)
-        parities = x[pairs[:, 0]] ^ x[pairs[:, 1]]
-        d = int(np.count_nonzero(parities != w))
+        disagree = x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ w
+        d = int(np.count_nonzero(disagree))
         if _classify_counts(n, d) is not PromiseClass.OUTSIDE:
-            return x, pairs, w, b, d
+            return x, pairs, w, b, disagree
+
+
+def _instance_from_arrays(
+    x: np.ndarray, pairs: np.ndarray, w: np.ndarray, b: int
+) -> BhmInstance:
+    matching = PerfectMatching(tuple((int(k) + 1, int(l) + 1) for k, l in pairs))
+    return BhmInstance(
+        x=BitString.from_array(x),
+        matching=matching,
+        w=BitString.from_array(w),
+        source=b,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +196,31 @@ def sample_T(n: int, rng: np.random.Generator) -> BhmInstance:
     """One instance from the generating mixture, with its source bit recorded."""
     if n < 1:
         raise ValueError("n must be positive")
-    x, pairs, w, b = _sample_t_arrays(n, rng)
-    matching = PerfectMatching(tuple((int(k) + 1, int(l) + 1) for k, l in pairs))
-    return BhmInstance(
-        x=BitString.from_array(x),
-        matching=matching,
-        w=BitString.from_array(w),
-        source=b,
-    )
+    return _instance_from_arrays(*_sample_t_arrays(n, rng))
 
 
 def sample_promise_instance(n: int, rng: np.random.Generator) -> BhmInstance:
     """Rejection-sample the mixture until the promise holds."""
-    while True:
-        inst = sample_T(n, rng)
-        if classify_promise(inst) is not PromiseClass.OUTSIDE:
-            return inst
+    if n < 1:
+        raise ValueError("n must be positive")
+    x, pairs, w, b, _ = _sample_promise_arrays(n, rng)
+    return _instance_from_arrays(x, pairs, w, b)
+
+
+def pinned_instance(
+    n: int, d: int, source: int, rng: np.random.Generator
+) -> BhmInstance:
+    """Instance whose observations disagree with the edge parities on exactly d edges.
+
+    x and the matching are uniform, and the d disagreeing edges are a
+    uniform d-subset; ``source`` is recorded as given.
+    """
+    x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+    matching = sample_matching(n, rng)
+    flips = np.zeros(n, dtype=np.uint8)
+    flips[rng.choice(n, size=d, replace=False)] = 1
+    w = BitString.from_array(apply_matching(matching, x).to_array() ^ flips)
+    return BhmInstance(x=x, matching=matching, w=w, source=source)
 
 
 def classify_promise(inst: BhmInstance) -> PromiseClass:
@@ -217,6 +239,6 @@ def promise_outside_probability(n: int) -> Fraction:
     p = 1 - NOISE_BIAS
     total = Fraction(0)
     for d in range(n + 1):
-        if 3 * d > n and 3 * d < 2 * n:
+        if _classify_counts(n, d) is PromiseClass.OUTSIDE:
             total += math.comb(n, d) * p**d * (1 - p) ** (n - d)
     return total

@@ -8,10 +8,10 @@ together with its exact parity, and Bob answers parity xor w for that
 edge.  Amplitudes stay real throughout: the protocol never creates a
 complex phase.
 
-Measurement is implemented twice: a generic projector path that builds
-the explicit basis and samples from the squared inner products, and an
-analytic shortcut (uniform edge, sign forced by the parity).  The two
-agree in distribution; tests hold them together.
+Measurement is implemented twice: the analytic shortcut (uniform edge,
+sign forced by the parity) that runners use, and a generic projector
+path that samples from the squared inner products of the explicit basis,
+kept as the oracle that tests and ``verify`` hold it against.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ def measure_matching_basis(
 ) -> MeasurementOutcome:
     """Sample one measurement outcome.
 
+    ``analytic`` draws a uniform edge and sets the sign from the parity;
     ``projector`` samples from the squared inner products of the explicit
-    basis; ``analytic`` draws a uniform edge and sets the sign from the
-    parity.  Either way the sign is checked against the true parity: the
-    protocol's whole point is that it never disagrees.
+    basis and is the oracle route.  Either way the sign is checked against
+    the true parity: the protocol's whole point is that it never disagrees.
     """
     if state.dim != matching.size:
         raise DimensionMismatch(
@@ -151,7 +151,8 @@ def measure_matching_basis(
         outcome = MeasurementOutcome(edge_index=edge + 1, sign=1 if parity == 0 else -1)
     else:
         raise ValueError(f"unknown measurement method {method!r}")
-    assert outcome.parity() == _edge_parity(state, matching, outcome.edge_index - 1)
+    if outcome.parity() != _edge_parity(state, matching, outcome.edge_index - 1):
+        raise RuntimeError(f"sign contradicts the parity of edge {outcome.edge_index}")
     return outcome
 
 
@@ -171,19 +172,27 @@ def run_repeated(
     if r < 1 or r % 2 == 0:
         raise ValueError(f"repetitions must be odd and positive, got {r}")
     if method == "analytic":
-        # same per-shot distribution as r run_single calls, batched
-        disagree = _disagreement_bits(inst)
-        guesses = disagree[rng.integers(0, inst.n, size=r)]
-        ones = int(guesses.sum())
+        guess = majority_vote(_disagreement_bits(inst), r, rng)
     else:
+        # one run_single per shot: the oracle route for majority_vote
         ones = sum(run_single(inst, rng, method=method) for _ in range(r))
-    guess = 1 if 2 * ones > r else 0
+        guess = 1 if 2 * ones > r else 0
     return TrialReport(
         guess=guess,
         truth=inst.source,
         shots=r,
         qubit_cost=r * message_qubits(inst.n),
     )
+
+
+def majority_vote(disagree: np.ndarray, r: int, rng: np.random.Generator) -> int:
+    """Bob's r-shot majority guess for odd r, given disagree = edge parities xor w.
+
+    One batched draw of r uniform edges: the per-shot distribution of r
+    analytic :func:`run_single` calls.
+    """
+    ones = int(disagree[rng.integers(0, disagree.size, size=r)].sum())
+    return 1 if 2 * ones > r else 0
 
 
 def _disagreement_bits(inst: BhmInstance) -> np.ndarray:
@@ -221,5 +230,6 @@ def exact_success(inst: BhmInstance, r: int = 1) -> Fraction:
     d = inst.disagreements()
     p = Fraction(inst.n - d, inst.n) if inst.source == 0 else Fraction(d, inst.n)
     result = majority_success(p, r)
-    assert isinstance(result, Fraction)
+    if not isinstance(result, Fraction):
+        raise TypeError(f"exact success came out as {type(result).__name__}, not Fraction")
     return result

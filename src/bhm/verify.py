@@ -35,10 +35,6 @@ class CheckResult:
         return record
 
 
-def _random_matching(n: int, rng: np.random.Generator) -> PerfectMatching:
-    return instances.sample_matching(n, rng)
-
-
 # ---------------------------------------------------------------------------
 # core identities
 
@@ -73,7 +69,7 @@ def check_core_identities(seed: int, max_points: int = 8) -> CheckResult:
     rng = substream(seed, 0)
     for case in range(20):
         n = 16
-        matching = _random_matching(n, rng)
+        matching = instances.sample_matching(n, rng)
         x = BitString.from_array(rng.integers(0, 2, size=2 * n))
         via_matrix = (matching.matrix() @ x.to_array()) % 2
         failures += not np.array_equal(apply_matching(matching, x).to_array(), via_matrix)
@@ -177,7 +173,7 @@ def check_lift_identity(cases: int, seed: int, max_points: int = 12) -> CheckRes
     for case in range(cases):
         rng = substream(seed, 6, case)
         n = int(rng.integers(2, max_points // 2 + 1))
-        matching = _random_matching(n, rng)
+        matching = instances.sample_matching(n, rng)
         size = 1 << (2 * n)
         count = int(rng.integers(1, size + 1))
         picks = rng.choice(size, size=count, replace=False)
@@ -198,7 +194,7 @@ def check_measurement_probabilities(seed: int, ns: tuple[int, ...] = (2, 4, 8)) 
         rng = substream(seed, 7, i)
         for case in range(20):
             x = BitString.from_array(rng.integers(0, 2, size=2 * n))
-            matching = _random_matching(n, rng)
+            matching = instances.sample_matching(n, rng)
             probs = quantum.outcome_probabilities(quantum.prepare_state(x), matching)
             worst = max(worst, abs(float(probs.sum()) - 1.0))
             parities = apply_matching(matching, x)
@@ -217,7 +213,7 @@ def check_projector_vs_analytic(
     for i, n in enumerate(ns):
         rng = substream(seed, 8, i)
         x = BitString.from_array(rng.integers(0, 2, size=2 * n))
-        matching = _random_matching(n, rng)
+        matching = instances.sample_matching(n, rng)
         state = quantum.prepare_state(x)
         exact = quantum.outcome_probabilities(state, matching)
         counts = {"projector": np.zeros(2 * n), "analytic": np.zeros(2 * n)}
@@ -244,7 +240,7 @@ def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
     for n in (8, 32, 64):
         for d_frac in (0.0, 0.25, 0.5):
             d = int(round(d_frac * n))
-            inst = _pinned_instance(n, d, source=0, seed=substream(seed, 9, case))
+            inst = instances.pinned_instance(n, d, source=0, rng=substream(seed, 9, case))
             case += 1
             p = float(quantum.exact_success(inst))
             rng = substream(seed, 9, 100 + case)
@@ -252,19 +248,6 @@ def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
             worst_z = max(worst_z, abs(p_hat - p) / sigma)
     return CheckResult("quantum_mc_vs_exact", worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"})
-
-
-def _pinned_instance(
-    n: int, d: int, source: int, seed: np.random.Generator
-) -> instances.BhmInstance:
-    """Instance with an exact disagreement count d, random otherwise."""
-    x = BitString.from_array(seed.integers(0, 2, size=2 * n))
-    matching = _random_matching(n, seed)
-    parities = apply_matching(matching, x)
-    flip = np.zeros(n, dtype=np.uint8)
-    flip[seed.choice(n, size=d, replace=False)] = 1
-    w = BitString.from_array(parities.to_array() ^ flip)
-    return instances.BhmInstance(x=x, matching=matching, w=w, source=source)
 
 
 def check_amplification(
@@ -277,13 +260,12 @@ def check_amplification(
         w=BitString.from_text("100"),
         source=0,
     )
-    assert quantum.exact_success(inst) == Fraction(2, 3)
+    ok = quantum.exact_success(inst) == Fraction(2, 3)
     worst_z = 0.0
     previous = Fraction(0)
-    monotone = True
     for i, r in enumerate(rs):
         exact = quantum.exact_success(inst, r)
-        monotone &= exact >= previous
+        ok &= exact >= previous
         previous = exact
         rng = substream(seed, 10, i)
         hits = sum(
@@ -293,7 +275,7 @@ def check_amplification(
         sigma = math.sqrt(p * (1 - p) / trials)
         worst_z = max(worst_z, abs(hits / trials - p) / sigma)
     return CheckResult(
-        "amplification", monotone and worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"}
+        "amplification", ok and worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"}
     )
 
 
@@ -416,14 +398,15 @@ def check_classical_exact(seed: int) -> CheckResult:
     ok = classical.bayes_success(classical.alice_constant(n), n, 0) == Fraction(1, 2)
     ok &= classical.bayes_success(classical.alice_parity(n), n, 1) == Fraction(1, 2)
     ok &= classical.bayes_success(classical.alice_identity(n), n, 4) == Fraction(3, 4)
-    best = classical.bruteforce_optimal(n, 1)
-    assert best.success_exact is not None
-    for heuristic in (
+    best = classical.bruteforce_optimal(n, 1).success_exact
+    heuristics = (
         classical.alice_parity(n),
         classical.alice_dictator(n, 1),
         classical.alice_dictator(n, 3),
-    ):
-        ok &= classical.bayes_success(heuristic, n, 1) <= best.success_exact
+    )
+    ok &= best is not None and all(
+        classical.bayes_success(heuristic, n, 1) <= best for heuristic in heuristics
+    )
     chain = [(), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
     values = [classical.subset_success_exact(n, s) for s in chain]
     ok &= all(a <= b for a, b in zip(values, values[1:]))

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from bhm.core import BitString, PerfectMatching, apply_matching
-from bhm.instances import BhmInstance
+from bhm.core import BitString, PerfectMatching
 
 
 def gf2_matrix_product(matching: PerfectMatching, x: BitString) -> np.ndarray:
@@ -40,20 +39,6 @@ def binomial_tail_at_least(r: int, k: int, p: Fraction) -> Fraction:
     """P[Binomial(r, p) >= k], exact."""
     q = 1 - p
     return sum(math.comb(r, j) * p**j * q ** (r - j) for j in range(k, r + 1))
-
-
-def pinned_instance(
-    n: int, d: int, source: int, rng: np.random.Generator
-) -> BhmInstance:
-    """Random instance whose observation string disagrees on exactly d edges."""
-    from bhm.instances import sample_matching
-
-    x = BitString.from_array(rng.integers(0, 2, size=2 * n))
-    matching = sample_matching(n, rng)
-    flips = np.zeros(n, dtype=np.uint8)
-    flips[rng.choice(n, size=d, replace=False)] = 1
-    w = BitString.from_array(apply_matching(matching, x).to_array() ^ flips)
-    return BhmInstance(x=x, matching=matching, w=w, source=source)
 
 
 def chi_square_statistic(counts: np.ndarray, expected: np.ndarray) -> float:

@@ -93,8 +93,9 @@ def test_known_edge_success_values():
     assert known_edge_success(3) == Fraction(27, 32)
     with pytest.raises(ValueError):
         known_edge_success(-1)
-    # closed form: majority of k independent 3/4 observations, coin on ties
-    for k in range(9):
+    # closed form: majority of k independent 3/4 observations, coin on ties;
+    # even k also exercises the tie identity behind the odd-r reduction
+    for k in range(41):
         p, q = Fraction(3, 4), Fraction(1, 4)
         direct = sum(
             math.comb(k, j) * p**j * q ** (k - j) for j in range(k // 2 + 1, k + 1)
@@ -149,6 +150,16 @@ def test_subset_position_validation():
         subset_trial_outcomes(4, [9], 10, seed=607)
     with pytest.raises(ValueError):
         subset_trial_outcomes(4, [0], 10, seed=607)
+
+
+def test_trial_runners_reject_nonpositive_trials():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            subset_trial_outcomes(4, [1, 2], trials, seed=607)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run_subset_trials(4, [1, 2], trials, seed=607)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run_protocol_trials(subset_protocol([1, 2]), 4, trials, seed=607)
 
 
 def test_bayes_success_exact_values():

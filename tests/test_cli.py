@@ -1,6 +1,10 @@
+import dataclasses
+import hashlib
 import json
 
-from bhm import cli, verify
+import pytest
+
+from bhm import classical, cli, quantum, verify
 from bhm.instances import BhmInstance, sample_T
 from bhm.quantum import run_repeated
 from bhm.seeding import substream
@@ -35,6 +39,14 @@ def test_gen_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     run_cli(["gen", "--n", "3", "--count", "4", "--seed", "12", "--out", str(b)])
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_gen_rejects_negative_count(tmp_path, capsys):
+    out = tmp_path / "inst.jsonl"
+    code = run_cli(["gen", "--n", "4", "--count", "-3", "--seed", "7", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "--count must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_requires_seed(capsys):
@@ -97,6 +109,17 @@ def test_classical_run_report(tmp_path):
     assert 0.0 <= record["success_prob"] <= 1.0
     assert record["sigma"] >= 0.0
     assert record["n"] == 16 and record["seed"] == 9
+
+
+def test_classical_run_rejects_zero_trials(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code = run_cli(
+        ["classical-run", "--n", "16", "--subset-size", "6", "--trials", "0",
+         "--seed", "9", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "trials must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bruteforce_report(tmp_path, capsys):
@@ -171,6 +194,27 @@ def test_injected_fault_fails_loudly(tmp_path, monkeypatch):
     assert "convolution_theorem" in records[-1]["failed"]
 
 
+def test_amplification_check_fails_on_a_wrong_single_shot_value(monkeypatch):
+    # the single-shot precondition is part of the check's verdict, not an
+    # assert that python -O would strip
+    real = quantum.exact_success
+    assert verify.check_amplification(3, rs=(3,), trials=500).passed
+    monkeypatch.setattr(
+        quantum, "exact_success", lambda inst, r=1: real(inst, r) if r > 1 else real(inst, 3)
+    )
+    assert not verify.check_amplification(3, rs=(3,), trials=500).passed
+
+
+def test_classical_exact_check_fails_without_an_exact_optimum(monkeypatch):
+    real = classical.bruteforce_optimal
+    monkeypatch.setattr(
+        classical,
+        "bruteforce_optimal",
+        lambda n, c: dataclasses.replace(real(n, c), success_exact=None),
+    )
+    assert not verify.check_classical_exact(3).passed
+
+
 def test_sweep_csv_and_determinism(tmp_path, capsys):
     args = [
         "sweep", "--ns", "4,8", "--trials", "300", "--reps", "1",
@@ -204,6 +248,45 @@ def test_verify_all_smoke(tmp_path):
     assert records[-1]["check"] == "summary"
     assert records[-1]["passed"] is True
     assert len(records) == 19  # 18 checks + summary
+
+
+#: sha256 of each output at fixed seeds, recorded before the refactor that
+#: gave each shared rule one definition, which kept every byte.
+GOLDEN_DIGESTS = {
+    "sweep": (
+        ["sweep", "--ns", "4,8,16", "--trials", "300", "--reps", "3",
+         "--subset-size", "5", "--seed", "7"],
+        "747335d02506b4eb4618a9d228e80c32411649d1ce2c71615963552551e367c3",
+    ),
+    "classical-run": (
+        ["classical-run", "--n", "16", "--subset-size", "8", "--trials", "500",
+         "--seed", "11"],
+        "01ff5b2531561b0a0bda893321340ce04cf7b792c6d157a193b99d5151391297",
+    ),
+    "quantum-run": (
+        ["quantum-run", "--n", "8", "--trials", "50", "--reps", "3", "--seed", "13"],
+        "8e66b24c1da9e6a876f41c0d41a6155d1baf808114edb01027e1e9a4aef7dffd",
+    ),
+    "gen": (
+        ["gen", "--n", "6", "--count", "20", "--seed", "17"],
+        "b14708dbf536da0487d3720aea621493e77d5a1c932c0b383f0508eaaee4e7b1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_output_matches_golden_digest(tmp_path, name):
+    """Refactors keep every output byte.
+
+    A deliberate change of the randomness layout, such as moving the
+    runners from one substream per trial to one per chunk, changes these
+    digests: update them in the same change and record the old and new
+    values in CHANGES.md.
+    """
+    argv, digest = GOLDEN_DIGESTS[name]
+    out = tmp_path / name
+    assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_emit_empty_rows_header_only(tmp_path):

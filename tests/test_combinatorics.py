@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bhm import combinatorics
 from bhm.combinatorics import (
     count_matchings,
     enumerate_matchings,
@@ -84,6 +85,13 @@ def test_gamma_bound_dominates_exact():
             assert exact <= bound
             assert gamma_bound(n, k) == pytest.approx(float(bound))
     assert gamma_bound(2, 4) == 1.0  # equality at k = 2n
+
+
+def test_gamma_bound_guard_raises(monkeypatch):
+    # an explicit check, not an assert, so it survives python -O
+    monkeypatch.setattr(combinatorics, "gamma_exact", lambda n, k: Fraction(1))
+    with pytest.raises(RuntimeError, match="exceeds the bound"):
+        gamma_bound(4, 2)
 
 
 def test_proof_step_lower_bound_chain():

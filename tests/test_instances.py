@@ -13,6 +13,7 @@ from bhm.instances import (
     PromiseClass,
     classify_promise,
     density_mu,
+    pinned_instance,
     promise_outside_probability,
     sample_biased,
     sample_matching,
@@ -22,7 +23,7 @@ from bhm.instances import (
 )
 from bhm.seeding import substream
 
-from helpers import chi_square_statistic, pinned_instance
+from helpers import chi_square_statistic
 
 
 def test_density_values():

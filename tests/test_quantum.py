@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from bhm import quantum
 from bhm.core import BitString, PerfectMatching, apply_matching
 from bhm.errors import DimensionMismatch
-from bhm.instances import BhmInstance, sample_matching
+from bhm.instances import BhmInstance, pinned_instance, sample_matching
 from bhm.quantum import (
     MessageState,
     empirical_success,
@@ -23,7 +24,7 @@ from bhm.quantum import (
 )
 from bhm.seeding import substream
 
-from helpers import binomial_tail_at_least, pinned_instance
+from helpers import binomial_tail_at_least
 
 
 def test_prepare_state_examples():
@@ -116,6 +117,20 @@ def test_measurement_method_validation():
         measure_matching_basis(state, PerfectMatching(((1, 2),)), rng, method="exact")
     with pytest.raises(DimensionMismatch):
         measure_matching_basis(state, PerfectMatching(((1, 2), (3, 4))), rng)
+
+
+def test_measured_parity_guard_raises(monkeypatch):
+    # a projector that puts the mass on the wrong sign must be caught by an
+    # explicit check, not an assert, so the guard survives python -O
+    real = quantum.outcome_probabilities
+
+    def swapped(state, matching):
+        return real(state, matching).reshape(-1, 2)[:, ::-1].ravel()
+
+    monkeypatch.setattr(quantum, "outcome_probabilities", swapped)
+    state = prepare_state(BitString.from_text("01"))
+    with pytest.raises(RuntimeError, match="contradicts the parity"):
+        measure_matching_basis(state, PerfectMatching(((1, 2),)), substream(506, 1), "projector")
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -231,6 +246,25 @@ def test_exact_success_values():
         exact_success(unlabeled)
     with pytest.raises(ValueError):
         exact_success(inst, 4)
+
+
+def test_exact_success_guard_raises(monkeypatch):
+    monkeypatch.setattr(quantum, "majority_success", lambda p, r: float(p))
+    inst = pinned_instance(4, 1, source=0, rng=substream(514, 4))
+    with pytest.raises(TypeError, match="not Fraction"):
+        exact_success(inst)
+
+
+def test_majority_vote_is_the_batched_analytic_run():
+    # one draw of r edge indices, then the majority of their disagreement bits
+    disagree = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+    for r in (1, 3, 7):
+        rng_a, rng_b = substream(516, r), substream(516, r)
+        ones = int(disagree[rng_b.integers(0, 5, size=r)].sum())
+        assert quantum.majority_vote(disagree, r, rng_a) == int(2 * ones > r)
+        assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+    assert quantum.majority_vote(np.ones(4, dtype=np.uint8), 5, substream(516, 0)) == 1
+    assert quantum.majority_vote(np.zeros(4, dtype=np.uint8), 5, substream(516, 0)) == 0
 
 
 def test_exact_success_on_promise_is_at_least_two_thirds():
