@@ -79,10 +79,11 @@ def run_separation_sweep(
         raise ValueError("reps must be odd and positive")
     if trials < 1:
         raise ValueError("trials must be positive")
+    # the grid is increasing, so its first point bounds the subset for every point
+    if not 0 <= subset_size <= 2 * ns[0]:
+        raise ValueError(f"subset size {subset_size} out of range 0..{2 * ns[0]}")
     rows = []
     for grid_idx, n in enumerate(ns):
-        if subset_size > 2 * n:
-            raise ValueError(f"subset size {subset_size} exceeds 2n={2 * n}")
         hits = 0
         for t in range(trials):
             rng = substream(seed, grid_idx, 0, t)
@@ -137,6 +138,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantum_run(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     rows = []
     for t in range(args.trials):
         rng = substream(args.seed, t)
@@ -155,16 +158,13 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             }
         )
-    emit(rows, list(rows[0]) if rows else _QUANTUM_FIELDS, args.format, args.out)
+    emit(rows, list(rows[0]), args.format, args.out)
     return EXIT_OK
 
 
-_QUANTUM_FIELDS = [
-    "trial", "n", "r", "d", "source", "guess", "correct", "qubit_cost", "seed",
-]
-
-
 def _cmd_classical_run(args: argparse.Namespace) -> int:
+    if args.subset_size < 0:
+        raise ValueError(f"--subset-size must be nonnegative, got {args.subset_size}")
     report = classical.run_subset_trials(
         args.n, range(1, args.subset_size + 1), args.trials, args.seed
     )
@@ -214,8 +214,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ns = [int(v) for v in args.ns.split(",") if v]
     rows = run_separation_sweep(ns, args.reps, args.subset_size, args.trials, args.seed)
-    fields = list(rows[0]) if rows else []
-    emit(rows, fields, args.format, args.out)
+    emit(rows, list(rows[0]), args.format, args.out)
     return EXIT_OK
 
 

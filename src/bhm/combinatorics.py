@@ -105,7 +105,7 @@ def gamma_monte_carlo(
         z = BitString((1,) * k + (0,) * (2 * n - k))
     if z.length != 2 * n or z.hamming_weight() != k:
         raise ValueError(f"z must have length {2 * n} and weight {k}")
-    mask = z.to_array().astype(bool)
+    mask = z.bits.astype(bool)
     hits = 0
     for _ in range(trials):
         perm = rng.permutation(2 * n)

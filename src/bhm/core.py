@@ -5,13 +5,13 @@ i in 1..m.  A perfect matching on {1..2n} is held as n disjoint pairs
 (k, l) with k < l, sorted by k; row i of its 0/1 matrix is edge i, so
 the matrix-vector product over GF(2) reduces to one parity per edge.
 
-All types are immutable value types with structural equality and can be
-shared freely across threads.
+All types are immutable value types over read-only numpy arrays, with
+structural equality, and can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,77 +19,84 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitString:
-    """Immutable fixed-length 0/1 sequence."""
+    """Immutable fixed-length 0/1 sequence over a read-only uint8 array."""
 
-    bits: tuple[int, ...]
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) == 0:
-            raise ValueError("bitstring length must be positive")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bitstring entries must be 0 or 1")
+        values = np.asarray(self.bits)
+        if values.ndim != 1 or values.size == 0 or not np.all((values == 0) | (values == 1)):
+            raise ValueError("bitstring must be a nonempty 1-D sequence of 0s and 1s")
+        bits = values.astype(np.uint8)  # always a copy, so the caller keeps no alias
+        bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 
     @classmethod
     def zeros(cls, length: int) -> BitString:
-        return cls((0,) * length)
+        return cls(np.zeros(length, dtype=np.uint8))
 
     @classmethod
     def from_text(cls, text: str) -> BitString:
         """Parse a '0'/'1' string; position 1 is the leftmost character."""
-        if not text or any(c not in "01" for c in text):
-            raise ValueError(f"not a bitstring: {text!r}")
-        return cls(tuple(1 if c == "1" else 0 for c in text))
+        try:
+            # bytes below '0' wrap around in uint8, so every character but '0'/'1' exceeds 1
+            return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
+        except ValueError as exc:
+            raise ValueError(f"not a bitstring: {text!r}") from exc
 
     @classmethod
     def from_array(cls, values: Sequence[int] | np.ndarray) -> BitString:
-        return cls(tuple(int(v) for v in values))
+        return cls(values)
 
     @classmethod
     def from_index(cls, length: int, index: int) -> BitString:
         """Unpack a cube-table index; position i holds bit 2**(i-1)."""
         if not 0 <= index < (1 << length):
             raise ValueError(f"index {index} out of range for length {length}")
-        return cls(tuple((index >> i) & 1 for i in range(length)))
+        packed = np.frombuffer(int(index).to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+        return cls(np.unpackbits(packed, count=length, bitorder="little"))
 
     @property
     def length(self) -> int:
-        return len(self.bits)
+        return self.bits.size
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.bits.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitString):
+            return NotImplemented
+        return self.bits.tobytes() == other.bits.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.bits.tobytes())
 
     def bit(self, i: int) -> int:
         """Bit at 1-based position i."""
-        if not 1 <= i <= len(self.bits):
-            raise IndexError(f"position {i} out of range 1..{len(self.bits)}")
-        return self.bits[i - 1]
+        if not 1 <= i <= self.bits.size:
+            raise IndexError(f"position {i} out of range 1..{self.bits.size}")
+        return int(self.bits[i - 1])
 
     def to_text(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return (self.bits + ord("0")).tobytes().decode()
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
+        """Writable copy of the bits."""
+        return self.bits.copy()
 
     def to_index(self) -> int:
         """Cube-table index; inverse of :meth:`from_index`."""
-        idx = 0
-        for i, b in enumerate(self.bits):
-            idx |= b << i
-        return idx
+        return int.from_bytes(np.packbits(self.bits, bitorder="little").tobytes(), "little")
 
     def hamming_weight(self) -> int:
-        return sum(self.bits)
+        return int(np.count_nonzero(self.bits))
 
     def __xor__(self, other: BitString) -> BitString:
-        if len(other.bits) != len(self.bits):
-            raise DimensionMismatch(
-                f"xor of lengths {len(self.bits)} and {len(other.bits)}"
-            )
-        return BitString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        if other.length != self.length:
+            raise DimensionMismatch(f"xor of lengths {self.length} and {other.length}")
+        return BitString(self.bits ^ other.bits)
 
     def __repr__(self) -> str:
         return f"BitString({self.to_text()!r})"
@@ -101,23 +108,29 @@ class PerfectMatching:
 
     Canonical form: k < l inside every pair, pairs sorted by k.  Any
     permutation of the same pairs constructs an equal object, and edge i
-    (1-based) always means the i-th pair of the canonical order.
+    (1-based) always means the i-th pair of the canonical order.  The
+    canonical pairs are stored once as a read-only 0-based (n, 2) array;
+    ``edges`` is their 1-based tuple view, which equality and hashing use.
     """
 
     edges: tuple[tuple[int, int], ...]
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pairs = []
-        for pair in self.edges:
-            k, l = (int(v) for v in pair)
-            if k == l:
-                raise ValueError(f"degenerate edge ({k}, {l})")
-            pairs.append((k, l) if k < l else (l, k))
-        pairs.sort()
-        members = sorted(v for pair in pairs for v in pair)
-        if not pairs or members != list(range(1, 2 * len(pairs) + 1)):
+        pairs = np.asarray(self.edges)
+        if pairs.ndim != 2 or pairs.shape[0] == 0 or pairs.shape[1] != 2:
+            raise ValueError("edges must be a nonempty sequence of pairs")
+        if pairs.dtype.kind not in "iu":
+            raise ValueError("edge endpoints must be integers")
+        pairs = np.sort(pairs, axis=1).astype(np.int64, copy=False)
+        pairs = pairs[np.argsort(pairs[:, 0])]
+        if not np.array_equal(np.sort(pairs, axis=None), np.arange(1, pairs.size + 1)):
             raise ValueError("edges must cover {1..2n} exactly once")
-        object.__setattr__(self, "edges", tuple(pairs))
+        edges = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+        object.__setattr__(self, "edges", edges)
+        pairs -= 1
+        pairs.setflags(write=False)
+        object.__setattr__(self, "_pairs", pairs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> PerfectMatching:
@@ -127,14 +140,11 @@ class PerfectMatching:
     def from_text(cls, text: str) -> PerfectMatching:
         """Parse the 'k1-l1,k2-l2,...' encoding."""
         try:
-            pairs = tuple(
-                tuple(int(v) for v in chunk.split("-")) for chunk in text.split(",")
+            return cls(
+                tuple(tuple(int(v) for v in chunk.split("-")) for chunk in text.split(","))
             )
         except ValueError as exc:
-            raise ValueError(f"not a matching: {text!r}") from exc
-        if any(len(p) != 2 for p in pairs):
-            raise ValueError(f"not a matching: {text!r}")
-        return cls(pairs)  # type: ignore[arg-type]
+            raise ValueError(f"not a matching: {text!r} ({exc})") from exc
 
     @property
     def n(self) -> int:
@@ -150,15 +160,13 @@ class PerfectMatching:
         return ",".join(f"{k}-{l}" for k, l in self.edges)
 
     def pairs_array(self) -> np.ndarray:
-        """Edges as a 0-based (n, 2) integer array."""
-        return np.array(self.edges, dtype=np.int64) - 1
+        """Edges as a read-only 0-based (n, 2) integer array."""
+        return self._pairs
 
     def matrix(self) -> np.ndarray:
         """Explicit (n x 2n) 0/1 matrix; row i marks the endpoints of edge i."""
         mat = np.zeros((self.n, self.size), dtype=np.uint8)
-        for i, (k, l) in enumerate(self.edges):
-            mat[i, k - 1] = 1
-            mat[i, l - 1] = 1
+        mat[np.arange(self.n)[:, None], self._pairs] = 1
         return mat
 
     def __repr__(self) -> str:
@@ -169,7 +177,7 @@ def hamming_distance(a: BitString, b: BitString) -> int:
     """Number of positions where a and b differ."""
     if a.length != b.length:
         raise DimensionMismatch(f"lengths {a.length} and {b.length}")
-    return sum(u != v for u, v in zip(a.bits, b.bits))
+    return int(np.count_nonzero(a.bits != b.bits))
 
 
 def apply_matching(matching: PerfectMatching, x: BitString) -> BitString:
@@ -178,7 +186,8 @@ def apply_matching(matching: PerfectMatching, x: BitString) -> BitString:
         raise DimensionMismatch(
             f"matching on {matching.size} points applied to length {x.length}"
         )
-    return BitString(tuple(x.bits[k - 1] ^ x.bits[l - 1] for k, l in matching.edges))
+    pairs = matching.pairs_array()
+    return BitString(x.bits[pairs[:, 0]] ^ x.bits[pairs[:, 1]])
 
 
 def lift_character(matching: PerfectMatching, s: BitString) -> BitString:
@@ -191,7 +200,6 @@ def lift_character(matching: PerfectMatching, s: BitString) -> BitString:
         raise DimensionMismatch(
             f"matching with {matching.n} edges lifted with length {s.length}"
         )
-    out = [0] * matching.size
-    for i, (k, l) in enumerate(matching.edges):
-        out[k - 1] = out[l - 1] = s.bits[i]
-    return BitString(tuple(out))
+    out = np.empty(matching.size, dtype=np.uint8)
+    out[matching.pairs_array()] = s.bits[:, None]
+    return BitString(out)

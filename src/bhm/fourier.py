@@ -216,8 +216,8 @@ def matching_image_table(matching: PerfectMatching) -> np.ndarray:
     size = 1 << matching.size
     xs = np.arange(size, dtype=np.int64)
     out = np.zeros(size, dtype=np.int64)
-    for i, (k, l) in enumerate(matching.edges):
-        parity = ((xs >> (k - 1)) ^ (xs >> (l - 1))) & 1
+    for i, (k, l) in enumerate(matching.pairs_array()):
+        parity = ((xs >> k) ^ (xs >> l)) & 1
         out |= parity << i
     return out
 
@@ -225,9 +225,7 @@ def matching_image_table(matching: PerfectMatching) -> np.ndarray:
 def lift_index_table(matching: PerfectMatching) -> np.ndarray:
     """Map every character index s on {0,1}^n to its lifted index on {0,1}^2n."""
     n = matching.n
-    masks = np.array(
-        [(1 << (k - 1)) | (1 << (l - 1)) for k, l in matching.edges], dtype=np.int64
-    )
+    masks = (1 << matching.pairs_array()).sum(axis=1)
     ss = np.arange(1 << n, dtype=np.int64)
     bits = (ss[:, None] >> np.arange(n)) & 1
     return bits @ masks  # edge masks are disjoint, so sum == bitwise or

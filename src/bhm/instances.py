@@ -143,12 +143,8 @@ def _sample_promise_arrays(
 def _instance_from_arrays(
     x: np.ndarray, pairs: np.ndarray, w: np.ndarray, b: int
 ) -> BhmInstance:
-    matching = PerfectMatching(tuple((int(k) + 1, int(l) + 1) for k, l in pairs))
     return BhmInstance(
-        x=BitString.from_array(x),
-        matching=matching,
-        w=BitString.from_array(w),
-        source=b,
+        x=BitString(x), matching=PerfectMatching(pairs + 1), w=BitString(w), source=b
     )
 
 
@@ -160,8 +156,7 @@ def sample_matching(n: int, rng: np.random.Generator) -> PerfectMatching:
     """Uniform perfect matching on {1..2n}."""
     if n < 1:
         raise ValueError("n must be positive")
-    pairs = _uniform_pairs(n, rng) + 1
-    return PerfectMatching(tuple((int(k), int(l)) for k, l in pairs))
+    return PerfectMatching(_uniform_pairs(n, rng) + 1)
 
 
 def sample_biased(b: int, n: int, rng: np.random.Generator) -> BitString:
@@ -170,14 +165,14 @@ def sample_biased(b: int, n: int, rng: np.random.Generator) -> BitString:
         raise ValueError(f"b must be 0 or 1, got {b!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    return BitString.from_array(_biased_bits(b, n, rng))
+    return BitString(_biased_bits(b, n, rng))
 
 
 def density_mu(b: int, y: BitString) -> Fraction:
     """Exact probability of y under the product of 3/4-biased bits toward b."""
     if b not in (0, 1):
         raise ValueError(f"b must be 0 or 1, got {b!r}")
-    agree = sum(1 for bit in y.bits if bit == b)
+    agree = int(np.count_nonzero(y.bits == b))
     return NOISE_BIAS**agree * (1 - NOISE_BIAS) ** (y.length - agree)
 
 
@@ -188,8 +183,7 @@ def sample_w(
     if b not in (0, 1):
         raise ValueError(f"b must be 0 or 1, got {b!r}")
     parities = apply_matching(matching, x)
-    noise = _biased_bits(b, matching.n, rng)
-    return BitString(tuple(p ^ int(e) for p, e in zip(parities.bits, noise)))
+    return BitString(parities.bits ^ _biased_bits(b, matching.n, rng))
 
 
 def sample_T(n: int, rng: np.random.Generator) -> BhmInstance:
@@ -215,11 +209,11 @@ def pinned_instance(
     x and the matching are uniform, and the d disagreeing edges are a
     uniform d-subset; ``source`` is recorded as given.
     """
-    x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+    x = BitString(rng.integers(0, 2, size=2 * n))
     matching = sample_matching(n, rng)
     flips = np.zeros(n, dtype=np.uint8)
     flips[rng.choice(n, size=d, replace=False)] = 1
-    w = BitString.from_array(apply_matching(matching, x).to_array() ^ flips)
+    w = BitString(apply_matching(matching, x).bits ^ flips)
     return BhmInstance(x=x, matching=matching, w=w, source=source)
 
 

@@ -88,7 +88,7 @@ def prepare_state(x: BitString) -> MessageState:
     """Alice's message state: amplitude i is (-1)^x_i / sqrt(2n)."""
     if x.length % 2 != 0:
         raise DimensionMismatch("message state needs an even-length string")
-    signs = 1.0 - 2.0 * x.to_array().astype(np.float64)
+    signs = 1.0 - 2.0 * x.bits
     return MessageState(amplitudes=signs / math.sqrt(x.length))
 
 
@@ -196,8 +196,7 @@ def majority_vote(disagree: np.ndarray, r: int, rng: np.random.Generator) -> int
 
 
 def _disagreement_bits(inst: BhmInstance) -> np.ndarray:
-    parities = apply_matching(inst.matching, inst.x)
-    return parities.to_array() ^ inst.w.to_array()
+    return apply_matching(inst.matching, inst.x).bits ^ inst.w.bits
 
 
 def empirical_success(inst: BhmInstance, shots: int, rng: np.random.Generator) -> float:

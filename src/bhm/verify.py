@@ -17,6 +17,7 @@ import numpy as np
 
 from . import classical, combinatorics, fourier, instances, quantum
 from .core import BitString, PerfectMatching, apply_matching, lift_character
+from .errors import BudgetExceeded
 from .seeding import substream
 
 
@@ -44,35 +45,31 @@ def check_core_identities(seed: int, max_points: int = 8) -> CheckResult:
     failures = 0
     cases = 0
     for n in range(1, max_points // 2 + 1):
+        xs = [BitString.from_index(2 * n, i) for i in range(1 << (2 * n))]
+        x_rows = np.array([x.bits for x in xs])
         for pairs in combinatorics.enumerate_matchings(2 * n):
             matching = PerfectMatching(pairs)
-            mat = matching.matrix()
-            for x_idx in range(1 << (2 * n)):
-                x = BitString.from_index(2 * n, x_idx)
-                direct = apply_matching(matching, x).to_array()
-                via_matrix = (mat @ x.to_array()) % 2
-                failures += not np.array_equal(direct, via_matrix)
-                cases += 1
+            images = np.array([apply_matching(matching, x).bits for x in xs])
+            # uint8 products wrap modulo 256, which keeps every parity mod 2
+            via_matrix = (x_rows @ matching.matrix().T) % 2
+            failures += int(np.count_nonzero(np.any(images != via_matrix, axis=1)))
+            cases += len(xs)
             for s_idx in range(1 << n):
                 s = BitString.from_index(n, s_idx)
                 lifted = lift_character(matching, s)
                 failures += lifted.hamming_weight() != 2 * s.hamming_weight()
-                for x_idx in range(1 << (2 * n)):
-                    x = BitString.from_index(2 * n, x_idx)
-                    lhs = sum(
-                        a * b for a, b in zip(apply_matching(matching, x).bits, s.bits)
-                    ) % 2
-                    rhs = sum(a * b for a, b in zip(x.bits, lifted.bits)) % 2
-                    failures += lhs != rhs
-                    cases += 1
+                lhs = (images @ s.bits) % 2
+                rhs = (x_rows @ lifted.bits) % 2
+                failures += int(np.count_nonzero(lhs != rhs))
+                cases += len(xs)
     # spot-check a large size with random inputs
     rng = substream(seed, 0)
     for case in range(20):
         n = 16
         matching = instances.sample_matching(n, rng)
-        x = BitString.from_array(rng.integers(0, 2, size=2 * n))
-        via_matrix = (matching.matrix() @ x.to_array()) % 2
-        failures += not np.array_equal(apply_matching(matching, x).to_array(), via_matrix)
+        x = BitString(rng.integers(0, 2, size=2 * n))
+        via_matrix = (matching.matrix() @ x.bits) % 2
+        failures += not np.array_equal(apply_matching(matching, x).bits, via_matrix)
         cases += 1
     return CheckResult("core_identities", failures == 0, details={"cases": cases})
 
@@ -193,15 +190,14 @@ def check_measurement_probabilities(seed: int, ns: tuple[int, ...] = (2, 4, 8)) 
     for i, n in enumerate(ns):
         rng = substream(seed, 7, i)
         for case in range(20):
-            x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+            x = BitString(rng.integers(0, 2, size=2 * n))
             matching = instances.sample_matching(n, rng)
             probs = quantum.outcome_probabilities(quantum.prepare_state(x), matching)
             worst = max(worst, abs(float(probs.sum()) - 1.0))
-            parities = apply_matching(matching, x)
-            for e in range(n):
-                live = probs[2 * e] if parities.bits[e] == 0 else probs[2 * e + 1]
-                dead = probs[2 * e + 1] if parities.bits[e] == 0 else probs[2 * e]
-                ok &= abs(live - 1.0 / n) <= 1e-12 and abs(dead) <= 1e-12
+            # row e holds edge e's (+, -) outcomes; only the sign of its parity occurs
+            expected = np.zeros((n, 2))
+            expected[np.arange(n), apply_matching(matching, x).bits] = 1.0 / n
+            ok &= bool(np.max(np.abs(probs.reshape(n, 2) - expected)) <= 1e-12)
     return CheckResult("measurement_probabilities", ok and worst <= 1e-12, max_gap=worst)
 
 
@@ -212,7 +208,7 @@ def check_projector_vs_analytic(
     worst_z = 0.0
     for i, n in enumerate(ns):
         rng = substream(seed, 8, i)
-        x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+        x = BitString(rng.integers(0, 2, size=2 * n))
         matching = instances.sample_matching(n, rng)
         state = quantum.prepare_state(x)
         exact = quantum.outcome_probabilities(state, matching)
@@ -322,7 +318,7 @@ def check_gamma(
     z_bits[rng.choice(2 * n, size=k, replace=False)] = 1
     est_a = combinatorics.gamma_monte_carlo(n, k, mc_trials, substream(seed, 11, 1001))
     est_b = combinatorics.gamma_monte_carlo(
-        n, k, mc_trials, substream(seed, 11, 1002), z=BitString.from_array(z_bits)
+        n, k, mc_trials, substream(seed, 11, 1002), z=BitString(z_bits)
     )
     pooled = math.sqrt(est_a.sigma**2 + est_b.sigma**2)
     worst_z = max(worst_z, abs(est_a.estimate - est_b.estimate) / max(pooled, 1e-9))
@@ -429,6 +425,11 @@ FOURIER_CHECKS = (
 
 
 def run_fourier_suite(m: int, cases: int, seed: int) -> list[CheckResult]:
+    # checked before any 2^m table is built, and so that no check passes vacuously
+    if m > fourier.DEFAULT_MAX_DIM:
+        raise BudgetExceeded(f"Fourier suite at m={m} exceeds cap {fourier.DEFAULT_MAX_DIM}")
+    if cases < 1:
+        raise ValueError(f"cases must be positive, got {cases}")
     return [
         check_fourier_roundtrip(m, cases, seed),
         check_parseval(m, cases, seed),

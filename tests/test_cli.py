@@ -94,6 +94,17 @@ def test_quantum_run_rejects_even_reps(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("trials", ["-2", "0"])
+def test_quantum_run_rejects_nonpositive_trials(tmp_path, capsys, trials):
+    out = tmp_path / "q.csv"
+    code = run_cli(
+        ["quantum-run", "--n", "4", "--trials", trials, "--seed", "1", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "--trials must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classical_run_report(tmp_path):
     out = tmp_path / "c.json"
     code = run_cli(
@@ -119,6 +130,17 @@ def test_classical_run_rejects_zero_trials(tmp_path, capsys):
     )
     assert code == cli.EXIT_CONFIG
     assert "trials must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classical_run_rejects_negative_subset_size(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code = run_cli(
+        ["classical-run", "--n", "16", "--subset-size", "-2", "--trials", "10",
+         "--seed", "9", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "--subset-size must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -170,6 +192,23 @@ def test_fourier_verify_passes(tmp_path):
     assert records[-1]["passed"] is True
     names = {r["check"] for r in records[:-1]}
     assert "parseval" in names and "convolution_theorem" in names
+
+
+@pytest.mark.parametrize("command", ["fourier-verify", "verify-all"])
+def test_suites_reject_zero_cases(tmp_path, capsys, command):
+    out = tmp_path / "f.jsonl"
+    code = run_cli([command, "--m", "4", "--cases", "0", "--seed", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "cases must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fourier_verify_checks_the_dimension_cap_before_building_tables(capsys):
+    # 2^64 entries cannot be allocated, so only a check made first can exit cleanly
+    assert run_cli(["fourier-verify", "--m", "64", "--cases", "1", "--seed", "1"]) == (
+        cli.EXIT_BUDGET
+    )
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_injected_fault_fails_loudly(tmp_path, monkeypatch):
@@ -235,6 +274,17 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     assert run_cli(["sweep", "--ns", "4", "--trials", "10", "--reps", "2",
                     "--subset-size", "2", "--seed", "1"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_sweep_rejects_negative_subset_size(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        ["sweep", "--ns", "4", "--trials", "10", "--subset-size", "-2", "--seed", "1",
+         "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "subset size -2 out of range 0..8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_all_smoke(tmp_path):

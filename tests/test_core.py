@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import (
@@ -32,6 +33,8 @@ def test_bitstring_validation():
         BitString(())
     with pytest.raises(ValueError):
         BitString((0, 2))
+    with pytest.raises(ValueError):
+        BitString((0.5, 1))
     with pytest.raises(ValueError):
         BitString.from_text("01x")
     with pytest.raises(ValueError):
@@ -76,7 +79,63 @@ def test_matching_validation():
     with pytest.raises(ValueError):
         PerfectMatching(())
     with pytest.raises(ValueError):
+        PerfectMatching(((1.5, 2), (3, 4)))
+    with pytest.raises(ValueError):
         PerfectMatching.from_text("1-2,3")
+
+
+#: Derandomized so the suite runs the same examples on every run.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def shuffled_pairs(draw):
+    """Pairs of a perfect matching in random order and orientation."""
+    n = draw(st.integers(1, 40))
+    points = draw(st.permutations(range(1, 2 * n + 1)))
+    return [(points[2 * i], points[2 * i + 1]) for i in range(n)]
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
+def test_bitstring_encodings_round_trip(values):
+    b = BitString(values)
+    assert b.to_text() == "".join(map(str, values))
+    assert b.to_index() == sum(v << i for i, v in enumerate(values))
+    assert BitString.from_text(b.to_text()) == b
+    assert BitString.from_index(len(values), b.to_index()) == b
+    twin = BitString(np.array(values, dtype=np.int64))
+    assert twin == b and hash(twin) == hash(b)
+
+
+@PROPERTY
+@given(shuffled_pairs())
+def test_matching_text_round_trips_under_shuffled_pair_order(pairs):
+    m = PerfectMatching(tuple(pairs))
+    shuffled_text = ",".join(f"{k}-{l}" for k, l in pairs)
+    assert PerfectMatching.from_text(shuffled_text) == m
+    assert PerfectMatching.from_text(m.to_text()) == m
+    assert m.edges == tuple(sorted((min(p), max(p)) for p in pairs))
+    twin = PerfectMatching(np.array(pairs[::-1]))
+    assert twin == m and hash(twin) == hash(m)
+
+
+def test_value_types_are_read_only_and_never_aliased():
+    source = np.array([0, 1, 1, 0])
+    b = BitString(source)
+    source[0] = 1
+    assert b.to_text() == "0110"
+    with pytest.raises(ValueError):
+        b.bits[0] = 1
+    copy = b.to_array()
+    copy[0] = 1
+    assert b.to_text() == "0110"
+    pairs = np.array([[3, 4], [1, 2]])
+    m = PerfectMatching(pairs)
+    pairs[1, 0] = 4
+    assert m.to_text() == "1-2,3-4"
+    with pytest.raises(ValueError):
+        m.pairs_array()[0, 0] = 2
 
 
 def test_matching_text_and_matrix():
@@ -142,15 +201,15 @@ def test_lift_character_examples(pairs, s, expected):
 def test_lift_character_adjoint_identity_exhaustive():
     # <Mx, s> = <x, lifted s> over GF(2), all x and s, all matchings, 2n <= 8
     for n in (1, 2, 3, 4):
+        xs = [BitString.from_index(2 * n, x_idx) for x_idx in range(1 << (2 * n))]
         for pairs in enumerate_matchings(2 * n):
             matching = PerfectMatching(pairs)
+            images = [(x, apply_matching(matching, x)) for x in xs]
             for s_idx in range(1 << n):
                 s = BitString.from_index(n, s_idx)
                 lifted = lift_character(matching, s)
                 assert lifted.hamming_weight() == 2 * s.hamming_weight()
-                for x_idx in range(1 << (2 * n)):
-                    x = BitString.from_index(2 * n, x_idx)
-                    mx = apply_matching(matching, x)
+                for x, mx in images:
                     lhs = sum(a & b for a, b in zip(mx.bits, s.bits)) & 1
                     rhs = sum(a & b for a, b in zip(x.bits, lifted.bits)) & 1
                     assert lhs == rhs

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from bhm.core import BitString, PerfectMatching
 from bhm.errors import DimensionMismatch
@@ -239,3 +241,22 @@ def test_sampler_validation():
         sample_w(x, PerfectMatching(((1, 2), (3, 4))), 3, rng)
     with pytest.raises(DimensionMismatch):
         sample_w(BitString.from_text("01"), PerfectMatching(((1, 2), (3, 4))), 0, rng)
+
+
+@st.composite
+def labelled_instances(draw):
+    n = draw(st.integers(1, 30))
+    points = draw(st.permutations(range(1, 2 * n + 1)))
+    return BhmInstance(
+        x=BitString(draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n))),
+        matching=PerfectMatching(tuple(zip(points[0::2], points[1::2]))),
+        w=BitString(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        source=draw(st.sampled_from([None, 0, 1])),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labelled_instances())
+def test_instance_json_round_trip(inst):
+    record = json.loads(json.dumps(inst.to_json_dict()))
+    assert BhmInstance.from_json_dict(record) == inst
