@@ -165,6 +165,8 @@ def subset_trial_outcomes(
     Trial t draws from substream(seed, t), so any single trial can be
     reproduced in isolation.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if trials < 1:
         raise ValueError("trials must be positive")
     positions = np.array(sorted({int(i) for i in subset}), dtype=np.int64)
@@ -209,6 +211,8 @@ def run_protocol_trials(
     protocol: OneWayProtocol, n: int, trials: int, seed: int
 ) -> SuccessReport:
     """Monte-Carlo success of any protocol against the mixture (oracle route)."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if trials < 1:
         raise ValueError("trials must be positive")
     hits = 0

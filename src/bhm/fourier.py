@@ -28,6 +28,9 @@ from .instances import NOISE_BIAS
 #: Largest cube dimension for which 2^m tables are built by default.
 DEFAULT_MAX_DIM = 20
 
+#: Largest cube dimension for the direct O(4^m) convolution oracle.
+CONVOLVE_MAX_DIM = 12
+
 
 def _as_table(values: np.ndarray | Iterable[float]) -> np.ndarray:
     table = np.asarray(values, dtype=np.float64).copy()
@@ -126,6 +129,8 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """XOR convolution by the defining double sum: the O(4^m) oracle route."""
     if f.m != g.m:
         raise DimensionMismatch(f"convolution of dimensions {f.m} and {g.m}")
+    if f.m > CONVOLVE_MAX_DIM:
+        raise BudgetExceeded(f"direct convolution at m={f.m} exceeds cap {CONVOLVE_MAX_DIM}")
     size = 1 << f.m
     ys = np.arange(size)
     out = np.empty(size)

@@ -12,32 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bhm.classical import (
-    alice_dictator,
-    alice_parity,
-    bayes_success,
-    bruteforce_optimal,
-    run_subset_trials,
-)
-from bhm.combinatorics import (
-    count_matchings,
-    enumerate_matchings,
-    gamma_exact,
-    gamma_monte_carlo,
-)
+from bhm import verify
+from bhm.classical import bayes_success, bruteforce_optimal, run_subset_trials
+from bhm.combinatorics import gamma_exact, gamma_monte_carlo
 from bhm.core import BitString, PerfectMatching
 from bhm.errors import BudgetExceeded
-from bhm.fourier import (
-    CubeFunction,
-    check_kkl,
-    check_lift_identity,
-    check_parseval,
-    closed_form_spectrum_table,
-    convolve,
-    convolve_spectral,
-    mu_difference,
-    transform,
-)
 from bhm.instances import (
     BhmInstance,
     PromiseClass,
@@ -45,7 +24,6 @@ from bhm.instances import (
     _sample_t_arrays,
     classify_promise,
     promise_outside_probability,
-    sample_matching,
     sample_promise_instance,
     sample_T,
 )
@@ -53,6 +31,7 @@ from bhm.quantum import (
     empirical_success,
     exact_success,
     majority_success,
+    majority_vote,
     message_qubits,
     run_repeated,
 )
@@ -146,80 +125,43 @@ def test_criterion_02_amplification():
 
 
 def test_criterion_03_spectrum_closed_form():
-    worst = 0.0
-    for n in range(1, 13):
-        gap = np.max(
-            np.abs(transform(mu_difference(n)).coefficients - closed_form_spectrum_table(n))
-        )
-        worst = max(worst, float(gap))
-    assert worst <= 1e-12
-    report("3 (spectrum closed form)", f"n <= 12, max |closed form - transform| = {worst:.2e}")
+    result = verify.check_closed_form_spectrum()
+    assert result.passed
+    report(
+        "3 (spectrum closed form)",
+        f"n <= 12, max |closed form - transform| = {result.max_gap:.2e}",
+    )
 
 
 def test_criterion_04_parseval_and_convolution():
-    m, pairs = 8, 100
-    worst_parseval = 0.0
-    worst_conv = 0.0
-    for case in range(pairs):
-        rng = substream(SEED_FOURIER, 4, case)
-        f = CubeFunction(m=m, values=rng.uniform(-1.0, 1.0, size=1 << m))
-        g = CubeFunction(m=m, values=rng.uniform(-1.0, 1.0, size=1 << m))
-        for h in (f, g):
-            lhs, rhs, gap = check_parseval(h)
-            worst_parseval = max(worst_parseval, gap / max(1.0, lhs, rhs))
-        direct = convolve(f, g)
-        spectral = convolve_spectral(f, g)
-        scale = max(1.0, float(np.max(np.abs(direct.values))))
-        worst_conv = max(
-            worst_conv, float(np.max(np.abs(direct.values - spectral.values))) / scale
-        )
-    assert worst_parseval <= 1e-9
-    assert worst_conv <= 1e-9
+    parseval = verify.check_parseval(8, 100, SEED_FOURIER)
+    convolution = verify.check_convolution(8, 100, SEED_FOURIER)
+    assert parseval.passed
+    assert convolution.passed
     report(
         "4 (parseval + convolution)",
-        f"100 pairs at m=8, rel gaps: parseval {worst_parseval:.2e}, "
-        f"convolution {worst_conv:.2e}",
+        f"100 pairs at m=8, rel gaps: parseval {parseval.max_gap:.2e}, "
+        f"convolution {convolution.max_gap:.2e}",
     )
 
 
 def test_criterion_05_kkl():
-    deltas = [round(0.1 * i, 1) for i in range(11)]
-    violations = 0
-    checks = 0
-    for case in range(1000):
-        rng = substream(SEED_FOURIER, 5, case)
-        m = int(rng.integers(1, 9))
-        density = float(rng.uniform(0.02, 1.0))
-        values = rng.choice(
-            [-1.0, 0.0, 1.0], size=1 << m, p=[density / 2, 1 - density, density / 2]
-        )
-        f = CubeFunction(m=m, values=values)
-        for delta in deltas:
-            _, _, holds = check_kkl(f, delta)
-            violations += not holds
-            checks += 1
-    assert violations == 0
+    result = verify.check_kkl(8, 1000, SEED_FOURIER)
+    assert result.passed
+    checks = result.details["cases"] * result.details["deltas"]
     report("5 (kkl inequality)", f"1000 functions x 11 deltas = {checks} checks, 0 violations")
 
 
 def test_criterion_06_lift_identity():
-    worst = 0.0
-    for case in range(100):
-        rng = substream(SEED_FOURIER, 6, case)
-        n = int(rng.integers(2, 7))  # 2n in 4..12
-        matching = sample_matching(n, rng)
-        size = 1 << (2 * n)
-        count = int(rng.integers(1, size + 1))
-        picks = rng.choice(size, size=count, replace=False)
-        A = [BitString.from_index(2 * n, int(i)) for i in picks]
-        worst = max(worst, check_lift_identity(A, matching))
-    assert worst <= 1e-12
-    report("6 (lift identity)", f"100 random (A, M) at 2n <= 12, max gap = {worst:.2e}")
+    result = verify.check_lift_identity(100, SEED_FOURIER)
+    assert result.passed
+    report(
+        "6 (lift identity)", f"100 random (A, M) at 2n <= 12, max gap = {result.max_gap:.2e}"
+    )
 
 
 def test_criterion_07_matching_combinatorics():
-    for t in range(2, 11, 2):
-        assert count_matchings(t) == len(enumerate_matchings(t))
+    assert verify.check_matching_counts().passed
     worst_z = 0.0
     trials = 20_000
     case = 0
@@ -254,19 +196,14 @@ def test_criterion_08_small_instance_optimum():
     for text in result.witness["message_1"]:
         amap[BitString.from_text(text).to_index()] = 1
     assert bayes_success(amap, 2, 1) == FROZEN_OPTIMUM
-    heuristics = {
-        "parity": alice_parity(2),
-        "dictator-1": alice_dictator(2, 1),
-        "dictator-3": alice_dictator(2, 3),
-    }
-    for name, heuristic in heuristics.items():
-        assert bayes_success(heuristic, 2, 1) <= result.success_exact, name
+    # the optimum dominates the parity and two dictator heuristics
+    assert verify.check_classical_exact().passed
     with pytest.raises(BudgetExceeded):
         bruteforce_optimal(3, 1)  # the budget is loud, not silent
     report(
         "8 (small-instance optimum)",
         f"bruteforce(n=2, c=1) = {result.success_exact} in {elapsed:.2f}s, "
-        f"witness verified, dominates {len(heuristics)} heuristics",
+        "witness verified, dominates 3 heuristics",
     )
 
 
@@ -279,9 +216,8 @@ def test_criterion_09_separation_snapshot():
     hits = 0
     for t in range(quantum_trials):
         rng = substream(SEED_SEPARATION, 0, t)
-        x, pairs, w, b, _ = _sample_promise_arrays(n, rng)
-        disagree = (x[pairs[:, 0]] ^ x[pairs[:, 1]]) ^ w
-        hits += int(disagree[rng.integers(0, n)]) == b
+        _, _, _, b, disagree = _sample_promise_arrays(n, rng)
+        hits += majority_vote(disagree, 1, rng) == b
     q_success = hits / quantum_trials
     assert q_success >= 2 / 3
 

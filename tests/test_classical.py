@@ -162,6 +162,14 @@ def test_trial_runners_reject_nonpositive_trials():
             run_protocol_trials(subset_protocol([1, 2]), 4, trials, seed=607)
 
 
+def test_trial_runners_reject_nonpositive_n():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            subset_trial_outcomes(n, [], 5, seed=607)
+        with pytest.raises(ValueError, match="n must be positive"):
+            run_protocol_trials(subset_protocol([]), n, 5, seed=607)
+
+
 def test_bayes_success_exact_values():
     n = 2
     assert bayes_success(alice_constant(n), n, 0) == Fraction(1, 2)

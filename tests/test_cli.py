@@ -133,6 +133,17 @@ def test_classical_run_rejects_zero_trials(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_classical_run_rejects_zero_n(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code = run_cli(
+        ["classical-run", "--n", "0", "--subset-size", "0", "--trials", "5",
+         "--seed", "1", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "n must be positive, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classical_run_rejects_negative_subset_size(tmp_path, capsys):
     out = tmp_path / "c.json"
     code = run_cli(
@@ -203,6 +214,33 @@ def test_suites_reject_zero_cases(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fourier-verify", "--m", "0"], "m must be positive, got 0"),
+        (["fourier-verify", "--m", "-1"], "m must be positive, got -1"),
+        (["verify-all", "--m", "0"], "m must be positive, got 0"),
+        (["verify-all", "--m", "-1"], "m must be positive, got -1"),
+        (["verify-all", "--trials", "0"], "trials must be positive, got 0"),
+    ],
+)
+def test_suites_reject_out_of_range_sizes(tmp_path, capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran before the sizes were validated")
+
+    monkeypatch.setattr(verify, "check_core_identities", no_work)
+    monkeypatch.setattr(verify, "check_fourier_roundtrip", no_work)
+    out = tmp_path / "f.jsonl"
+    assert run_cli(argv + ["--seed", "1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fourier_verify_clamps_the_direct_convolution(capsys):
+    assert run_cli(["fourier-verify", "--m", "14", "--cases", "1", "--seed", "1"]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
 def test_fourier_verify_checks_the_dimension_cap_before_building_tables(capsys):
     # 2^64 entries cannot be allocated, so only a check made first can exit cleanly
     assert run_cli(["fourier-verify", "--m", "64", "--cases", "1", "--seed", "1"]) == (
@@ -251,7 +289,7 @@ def test_classical_exact_check_fails_without_an_exact_optimum(monkeypatch):
         "bruteforce_optimal",
         lambda n, c: dataclasses.replace(real(n, c), success_exact=None),
     )
-    assert not verify.check_classical_exact(3).passed
+    assert not verify.check_classical_exact().passed
 
 
 def test_sweep_csv_and_determinism(tmp_path, capsys):
@@ -297,7 +335,14 @@ def test_verify_all_smoke(tmp_path):
     records = read_json_lines(out)
     assert records[-1]["check"] == "summary"
     assert records[-1]["passed"] is True
-    assert len(records) == 19  # 18 checks + summary
+    # perfbench times each check by this name, in this order
+    assert [r["check"] for r in records] == [
+        "core_identities", "fourier_roundtrip", "parseval", "convolution_theorem",
+        "l1_l2_relation", "kkl_inequality", "closed_form_spectrum", "lift_identity",
+        "measurement_probabilities", "projector_vs_analytic", "quantum_mc_vs_exact",
+        "amplification", "matching_counts", "gamma", "density_normalization",
+        "promise_rates", "subset_oracle", "classical_exact", "summary",
+    ]
 
 
 #: sha256 of each output at fixed seeds, recorded before the refactor that

@@ -126,6 +126,12 @@ def test_convolution_dimension_mismatch():
         convolve(CubeFunction(m=2, values=np.ones(4)), CubeFunction(m=3, values=np.ones(8)))
 
 
+def test_direct_convolution_cap():
+    f = CubeFunction(m=13, values=np.ones(1 << 13))
+    with pytest.raises(BudgetExceeded, match="exceeds cap 12"):
+        convolve(f, f)
+
+
 def test_parseval_special_cases():
     zero = CubeFunction(m=4, values=np.zeros(16))
     assert check_parseval(zero) == (0.0, 0.0, 0.0)
@@ -167,21 +173,6 @@ def test_kkl_trivial_and_delta_one():
     assert holds
     assert lhs == pytest.approx(t, abs=1e-12)
     assert rhs == pytest.approx(t, abs=1e-12)
-
-
-def test_kkl_random_sweep():
-    rng = substream(409, 0)
-    deltas = [round(0.1 * i, 1) for i in range(11)]
-    for _ in range(200):
-        m = int(rng.integers(1, 9))
-        density = float(rng.uniform(0.05, 1.0))
-        vals = rng.choice(
-            [-1.0, 0.0, 1.0], size=1 << m, p=[density / 2, 1 - density, density / 2]
-        )
-        f = CubeFunction(m=m, values=vals)
-        for delta in deltas:
-            _, _, holds = check_kkl(f, delta)
-            assert holds
 
 
 def test_kkl_validation():
@@ -290,18 +281,6 @@ def test_lift_identity_full_cube_and_singleton():
     assert np.allclose(transform(CubeFunction(m=4, values=g)).coefficients, 1 / 16.0)
     gm = gM_from_set(origin, matching)
     assert np.allclose(transform(gm).coefficients, 1 / 4.0)
-
-
-def test_lift_identity_random_sets():
-    rng = substream(413, 0)
-    for case in range(30):
-        n = int(rng.integers(2, 6))
-        matching = sample_matching(n, rng)
-        size = 1 << (2 * n)
-        count = int(rng.integers(1, size + 1))
-        picks = rng.choice(size, size=count, replace=False)
-        A = [BitString.from_index(2 * n, int(i)) for i in picks]
-        assert check_lift_identity(A, matching) <= 1e-12
 
 
 def test_lift_identity_cap_and_validation():
