@@ -24,7 +24,15 @@ from .combinatorics import count_matchings, enumerate_matchings
 from .core import BitString, PerfectMatching
 from .errors import BudgetExceeded
 from .fourier import _popcounts, matching_image_table
-from .instances import NOISE_BIAS, _sample_promise_arrays, _sample_t_arrays, sample_T
+# _sample_t_arrays is not called here; the binding stays because
+# perfbench's tracer self-test checks that it wraps this module's name
+from .instances import (  # noqa: F401
+    NOISE_BIAS,
+    _count_law,
+    _sample_source_and_count,
+    _sample_t_arrays,
+    sample_T,
+)
 from .quantum import majority_success
 from .seeding import substream
 
@@ -99,7 +107,8 @@ def subset_protocol(subset: Iterable[int]) -> OneWayProtocol:
     subset and votes the corresponding w bits against them: a majority of
     agreements means source 0, of disagreements source 1, and a tie (in
     particular no fully known edge) falls back to a fair coin.  An oracle
-    route: runs use the array vote in :func:`subset_trial_outcomes`.
+    route on whole instances: runs use :func:`subset_trial_outcomes`,
+    which draws only the counts this vote reads.
     """
     positions = tuple(sorted({int(i) for i in subset}))
     if positions and positions[0] < 1:
@@ -164,28 +173,30 @@ def subset_trial_outcomes(
     Returns (known_edge_counts, correct_flags), one entry per trial.
     Trial t draws from substream(seed, t), so any single trial can be
     reproduced in isolation.
+
+    A trial draws only what the vote reads: the source bit b and the
+    disagreement count d (:func:`instances._sample_source_and_count`),
+    the number K of matching edges inside the subset, which depends on
+    the subset only through its size c (:func:`_known_edge_count`), and
+    the number of those K edges that disagree with w.  The d
+    disagreeing edges are a uniform d-subset independent of the
+    matching, so that number is Hypergeometric(n, d, K).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    positions = np.array(sorted({int(i) for i in subset}), dtype=np.int64)
-    if positions.size and (positions[0] < 1 or positions[-1] > 2 * n):
+    positions = sorted({int(i) for i in subset})
+    if positions and (positions[0] < 1 or positions[-1] > 2 * n):
         raise ValueError("subset positions out of range 1..2n")
-    mask = np.zeros(2 * n, dtype=bool)
-    mask[positions - 1] = True
+    c = len(positions)
     ks = np.empty(trials, dtype=np.int64)
     correct = np.empty(trials, dtype=bool)
     for t in range(trials):
         rng = substream(seed, t)
-        if restrict_promise:
-            x, pairs, w, b, disagree = _sample_promise_arrays(n, rng)
-        else:
-            x, pairs, w, b = _sample_t_arrays(n, rng)
-            disagree = x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ w
-        internal = mask[pairs[:, 0]] & mask[pairs[:, 1]]
-        k = int(np.count_nonzero(internal))
-        agree = k - int(np.count_nonzero(disagree[internal]))
+        b, d = _sample_source_and_count(n, rng, restrict_promise)
+        k = _known_edge_count(n, c, rng.random(c).tolist())
+        agree = k - int(rng.hypergeometric(d, n - d, k))
         if 2 * agree > k:
             guess = 0
         elif 2 * agree < k:
@@ -195,6 +206,86 @@ def subset_trial_outcomes(
         ks[t] = k
         correct[t] = guess == b
     return ks, correct
+
+
+def _known_edge_count(n: int, c: int, u: Sequence[float]) -> int:
+    """Matching edges inside a fixed c-subset of {1..2n}, from c uniforms u.
+
+    The partner process: visit the known points in turn, and give each
+    one not yet matched a partner drawn uniformly from the other
+    unmatched points.  Before step i, 2n - 2i points are unmatched and
+    ``left`` of them are known, so the partner is known with probability
+    (left - 1) / (2n - 2i - 1).  At most c steps, one uniform each.
+    """
+    k = step = 0
+    left = c
+    while left > 1:
+        if u[step] * (2 * n - 2 * step - 1) < left - 1:
+            k += 1
+            left -= 2
+        else:
+            left -= 1
+        step += 1
+    return k
+
+
+def _known_edge_law(n: int, c: int) -> list[Fraction]:
+    """P(K = k) for k = 0..c//2, K the matching edges inside a fixed c-subset.
+
+    A matching with exactly k inside edges pairs 2k of the c known
+    points among themselves, sends the other c - 2k to distinct outside
+    points and pairs the 2n - 2c + 2k outside points left over:
+    C(c,2k) (2k-1)!! (2n-c)_(c-2k) (2n-2c+2k-1)!! of the (2n-1)!!.
+    """
+    if not 0 <= c <= 2 * n:
+        raise ValueError(f"subset size {c} out of range 0..{2 * n}")
+    total = count_matchings(2 * n)
+    law = []
+    for k in range(c // 2 + 1):
+        rest = 2 * n - 2 * c + 2 * k
+        ways = 0
+        if rest >= 0:
+            ways = (
+                math.comb(c, 2 * k)
+                * count_matchings(2 * k)
+                * math.perm(2 * n - c, c - 2 * k)
+                * count_matchings(rest)
+            )
+        law.append(Fraction(ways, total))
+    return law
+
+
+def subset_mixture_success(n: int, c: int, promise: bool) -> Fraction:
+    """Exact success of the subset protocol on any c known positions, at any n.
+
+    Averages the vote over the known-edge count K (:func:`_known_edge_law`).
+    Without the promise, success given K is :func:`known_edge_success`,
+    and the result equals :func:`subset_success_exact`, its enumeration
+    oracle at tiny n.  With ``promise``, it also averages over the source
+    bit, the disagreement count d inside the promise and the disagreeing
+    known edges, Hypergeometric(n, d, K); that costs O(n c^2) big-integer
+    terms.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    law = _known_edge_law(n, c)
+    if not promise:
+        # the k known observations are then independent 3/4-biased votes
+        return sum(p_k * known_edge_success(k) for k, p_k in enumerate(law))
+    total = Fraction(0)
+    for b in (0, 1):
+        for d, p_d in _count_law(n, b, promise).items():
+            for k, p_k in enumerate(law):
+                # twice the winning chance of the vote with j of k known edges
+                # disagreeing: guess 1 iff 2j > k, a tie is a fair coin
+                wins2 = sum(
+                    math.comb(d, j)
+                    * math.comb(n - d, k - j)
+                    * (1 if 2 * j == k else 2 * ((2 * j > k) == b))
+                    for j in range(k + 1)
+                )
+                total += p_d * p_k * Fraction(wins2, 4 * math.comb(n, k))
+    return total
 
 
 def run_subset_trials(

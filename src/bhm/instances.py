@@ -140,6 +140,45 @@ def _sample_promise_arrays(
             return x, pairs, w, b, disagree
 
 
+#: Chance that one edge's observation disagrees with its parity, by source bit.
+_DISAGREE_PROB = (float(1 - NOISE_BIAS), float(NOISE_BIAS))
+
+
+def _sample_source_and_count(
+    n: int, rng: np.random.Generator, restrict_promise: bool
+) -> tuple[int, int]:
+    """Source bit b and disagreement count d of one mixture draw, and nothing else.
+
+    In every draw the disagreement bits (edge parities xor w) equal the
+    noise vector bit for bit, so x and the matching cancel out: d is
+    Binomial(n, 1/4) for b = 0 and Binomial(n, 3/4) for b = 1, and given
+    d the disagreeing edges are a uniform d-subset.  With
+    ``restrict_promise``, (b, d) is redrawn until the promise holds.
+    """
+    while True:
+        b = int(rng.integers(0, 2))
+        d = int(rng.binomial(n, _DISAGREE_PROB[b]))
+        if not restrict_promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE:
+            return b, d
+
+
+def _count_law(n: int, b: int, promise: bool) -> dict[int, Fraction]:
+    """Exact law of the disagreement count d given the source bit b.
+
+    The law is Binomial(n, 1/4) for b = 0 and Binomial(n, 3/4) for b = 1.
+    With ``promise`` it is restricted to the counts inside the promise and
+    renormalised over them.
+    """
+    p = NOISE_BIAS if b else 1 - NOISE_BIAS
+    law = {
+        d: math.comb(n, d) * p**d * (1 - p) ** (n - d)
+        for d in range(n + 1)
+        if not promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE
+    }
+    mass = sum(law.values())
+    return {d: v / mass for d, v in law.items()}
+
+
 def _instance_from_arrays(
     x: np.ndarray, pairs: np.ndarray, w: np.ndarray, b: int
 ) -> BhmInstance:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import BitString, PerfectMatching, apply_matching
 from .errors import DimensionMismatch
-from .instances import BhmInstance
+from .instances import BhmInstance, _count_law
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +195,17 @@ def majority_vote(disagree: np.ndarray, r: int, rng: np.random.Generator) -> int
     return 1 if 2 * ones > r else 0
 
 
+def majority_vote_count(n: int, d: int, r: int, rng: np.random.Generator) -> int:
+    """Bob's r-shot majority guess for odd r when d of the n edges disagree.
+
+    The edges are exchangeable, so the d disagreeing ones may be taken to
+    be the first d: this is :func:`majority_vote` on ``arange(n) < d``,
+    draw for draw, without building the n-bit array.
+    """
+    ones = int((rng.integers(0, n, size=r) < d).sum())
+    return 1 if 2 * ones > r else 0
+
+
 def _disagreement_bits(inst: BhmInstance) -> np.ndarray:
     return apply_matching(inst.matching, inst.x).bits ^ inst.w.bits
 
@@ -216,6 +227,24 @@ def majority_success(p: Fraction | float, r: int) -> Fraction | float:
         raise ValueError(f"repetitions must be odd and positive, got {r}")
     q = 1 - p
     return sum(math.comb(r, j) * p**j * q ** (r - j) for j in range((r + 1) // 2, r + 1))
+
+
+def mixture_success(n: int, r: int, promise: bool = True) -> Fraction:
+    """Exact success of the r-shot protocol over the generating mixture.
+
+    Averages :func:`exact_success` over the source bit and the
+    disagreement count d, which is all it reads: one shot is right with
+    probability (n - d)/n for source 0 and d/n for source 1.  With
+    ``promise``, d is kept inside the promise only.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    total = Fraction(0)
+    for b in (0, 1):
+        for d, p_d in _count_law(n, b, promise).items():
+            p = Fraction(d, n) if b else Fraction(n - d, n)
+            total += p_d * majority_success(p, r) / 2
+    return total
 
 
 def exact_success(inst: BhmInstance, r: int = 1) -> Fraction:

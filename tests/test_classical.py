@@ -1,5 +1,6 @@
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from bhm.classical import (
     SuccessReport,
+    _known_edge_law,
     alice_constant,
     alice_dictator,
     alice_identity,
@@ -19,6 +21,7 @@ from bhm.classical import (
     run_protocol_trials,
     run_subset_trials,
     subset_protocol,
+    subset_mixture_success,
     subset_success_exact,
     subset_trial_outcomes,
 )
@@ -26,6 +29,8 @@ from bhm.core import BitString
 from bhm.errors import BudgetExceeded
 from bhm.instances import PromiseClass, classify_promise, sample_promise_instance
 from bhm.seeding import substream
+
+from helpers import MC_Z_BOUND, mixture_average, mixture_cells, z_score
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "bruteforce_n2_c1.json").read_text())
 FROZEN_OPTIMUM = Fraction(FIXTURE["optimal_success"])
@@ -127,13 +132,82 @@ def test_subset_trials_no_internal_edges_is_fair_coin():
     assert subset_success_exact(2, (1,)) == Fraction(1, 2)
 
 
-def test_subset_trials_equal_object_protocol_run():
-    # array runner and the generic object runner share the same substreams
-    n, trials, seed = 4, 300, 605
-    report_generic = run_protocol_trials(subset_protocol(range(1, 5)), n, trials, seed)
-    report_array = run_subset_trials(n, range(1, 5), trials, seed)
-    assert report_generic.success_prob == report_array.success_prob
+def test_subset_runners_match_mixture_oracle():
+    # the object route draws whole instances and the array runner draws
+    # (b, d, K), so their trials differ; each must sit in the z-band of
+    # the exact mixture success
+    n, c, trials = 4, 4, 5_000
+    exact = subset_mixture_success(n, c, promise=False)
+    report_generic = run_protocol_trials(subset_protocol(range(1, c + 1)), n, trials, 605)
+    report_array = run_subset_trials(n, range(1, c + 1), trials, 605)
     assert report_array.protocol == "subset-4"
+    assert z_score(report_generic.success_prob, exact, trials) <= MC_Z_BOUND
+    assert z_score(report_array.success_prob, exact, trials) <= MC_Z_BOUND
+    report_promise = run_subset_trials(
+        n, range(1, c + 1), trials, 613, restrict_promise=True
+    )
+    exact_promise = subset_mixture_success(n, c, promise=True)
+    assert z_score(report_promise.success_prob, exact_promise, trials) <= MC_Z_BOUND
+
+
+def test_subset_mixture_success_equals_enumeration():
+    for n in (1, 2, 3):
+        cells = mixture_cells(n)
+        for c in range(2 * n + 1):
+            law = _known_edge_law(n, c)
+            unrestricted = subset_mixture_success(n, c, promise=False)
+            assert unrestricted == subset_success_exact(n, range(1, c + 1))
+            assert unrestricted == sum(p * known_edge_success(k) for k, p in enumerate(law))
+
+            def vote_success(inst, c=c):
+                agree = disagree = 0
+                for i, (k, l) in enumerate(inst.matching.edges, start=1):
+                    if k <= c and l <= c:
+                        if inst.w.bit(i) == inst.x.bit(k) ^ inst.x.bit(l):
+                            agree += 1
+                        else:
+                            disagree += 1
+                if agree == disagree:
+                    return Fraction(1, 2)
+                return Fraction(int((agree < disagree) == inst.source))
+
+            assert subset_mixture_success(n, c, promise=True) == mixture_average(
+                cells, vote_success, promise=True
+            )
+
+
+def test_known_edge_law_equals_partner_process():
+    for n in range(1, 9):
+        for c in range(2 * n + 1):
+            # (known points left, inside edges so far) -> probability; at
+            # step i, 2n - 2i points are unmatched
+            dist = {(c, 0): Fraction(1)}
+            for step in range(c):
+                after = defaultdict(Fraction)
+                for (left, k), prob in dist.items():
+                    if left <= 1:
+                        after[left, k] += prob
+                        continue
+                    p = Fraction(left - 1, 2 * n - 2 * step - 1)
+                    after[left - 2, k + 1] += prob * p
+                    after[left - 1, k] += prob * (1 - p)
+                dist = after
+            walked = [Fraction(0)] * (c // 2 + 1)
+            for (_, k), prob in dist.items():
+                walked[k] += prob
+            law = _known_edge_law(n, c)
+            assert walked == law
+            assert sum(k * p for k, p in enumerate(law)) == expected_internal_edges(n, c)
+
+
+def test_known_edge_counts_follow_exact_law():
+    n, c, trials = 16, 8, 20_000
+    ks, _ = subset_trial_outcomes(n, range(1, c + 1), trials, seed=614)
+    counts = np.bincount(ks, minlength=c // 2 + 1)
+    assert counts.size == c // 2 + 1
+    for k, p in enumerate(_known_edge_law(n, c)):
+        if trials * p >= 20:  # where the normal band applies
+            assert z_score(counts[k] / trials, p, trials) <= MC_Z_BOUND
 
 
 def test_subset_trials_promise_restriction():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -8,6 +9,8 @@ from bhm import classical, cli, quantum, verify
 from bhm.instances import BhmInstance, sample_T
 from bhm.quantum import run_repeated
 from bhm.seeding import substream
+
+from helpers import MC_Z_BOUND, z_score
 
 
 def run_cli(argv):
@@ -181,6 +184,11 @@ def test_gamma_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gamma_rejects_nonpositive_n(capsys):
+    assert run_cli(["gamma", "--n", "0", "--k", "2"]) == cli.EXIT_CONFIG
+    assert "--n must be positive, got 0" in capsys.readouterr().err
+
+
 def test_gamma_with_monte_carlo(tmp_path):
     out = tmp_path / "g.json"
     code = run_cli(
@@ -345,18 +353,36 @@ def test_verify_all_smoke(tmp_path):
     ]
 
 
-#: sha256 of each output at fixed seeds, recorded before the refactor that
-#: gave each shared rule one definition, which kept every byte.
+def test_sweep_columns_match_exact_mixture_success(tmp_path):
+    out = tmp_path / "sweep.csv"
+    trials, reps, c = 4_000, 3, 4
+    argv = ["sweep", "--ns", "4,8,16", "--trials", str(trials), "--reps", str(reps),
+            "--subset-size", str(c), "--seed", "29", "--out", str(out)]
+    assert run_cli(argv) == cli.EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(row["n"]) for row in rows] == [4, 8, 16]
+    for row in rows:
+        n = int(row["n"])
+        quantum_exact = quantum.mixture_success(n, reps, promise=True)
+        subset_exact = classical.subset_mixture_success(n, c, promise=True)
+        assert z_score(float(row["quantum_success"]), quantum_exact, trials) <= MC_Z_BOUND
+        assert z_score(float(row["classical_success"]), subset_exact, trials) <= MC_Z_BOUND
+
+
+#: sha256 of each output at fixed seeds.  gen and quantum-run were recorded
+#: before the refactor that gave each shared rule one definition; sweep and
+#: classical-run were re-pinned when their trials started drawing only
+#: (b, d, K).
 GOLDEN_DIGESTS = {
     "sweep": (
         ["sweep", "--ns", "4,8,16", "--trials", "300", "--reps", "3",
          "--subset-size", "5", "--seed", "7"],
-        "747335d02506b4eb4618a9d228e80c32411649d1ce2c71615963552551e367c3",
+        "2fe71fc3169f165606713847b00864ab5e363b432ad34e7930ed4f48755cdf24",
     ),
     "classical-run": (
         ["classical-run", "--n", "16", "--subset-size", "8", "--trials", "500",
          "--seed", "11"],
-        "01ff5b2531561b0a0bda893321340ce04cf7b792c6d157a193b99d5151391297",
+        "e66e2e995d5356599983a0c9daa4b5beba8968f7902d695f6e1bf46198c867f8",
     ),
     "quantum-run": (
         ["quantum-run", "--n", "8", "--trials", "50", "--reps", "3", "--seed", "13"],

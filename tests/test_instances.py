@@ -13,6 +13,8 @@ from bhm.instances import (
     NOISE_BIAS,
     BhmInstance,
     PromiseClass,
+    _count_law,
+    _sample_source_and_count,
     classify_promise,
     density_mu,
     pinned_instance,
@@ -25,7 +27,7 @@ from bhm.instances import (
 )
 from bhm.seeding import substream
 
-from helpers import chi_square_statistic
+from helpers import MC_Z_BOUND, chi_square_statistic, z_score
 
 
 def test_density_values():
@@ -201,6 +203,23 @@ def test_sample_promise_instance_never_outside():
     for t in range(200):
         inst = sample_promise_instance(3, substream(310, t))
         assert classify_promise(inst) is not PromiseClass.OUTSIDE
+
+
+def test_source_and_count_follow_the_exact_law():
+    n, trials = 12, 20_000
+    for promise in (False, True):
+        rng = substream(311, int(promise))
+        draws = np.array([_sample_source_and_count(n, rng, promise) for _ in range(trials)])
+        assert z_score(float(draws[:, 0].mean()), 0.5, trials) <= MC_Z_BOUND
+        for b in (0, 1):
+            ds = draws[draws[:, 0] == b, 1]
+            counts = np.bincount(ds, minlength=n + 1)
+            law = _count_law(n, b, promise)
+            for d in range(n + 1):
+                if d not in law:
+                    assert counts[d] == 0
+                elif ds.size * law[d] >= 20:  # where the normal band applies
+                    assert z_score(counts[d] / ds.size, law[d], ds.size) <= MC_Z_BOUND
 
 
 def test_promise_outside_probability_exact():

@@ -14,9 +14,12 @@ from bhm.quantum import (
     empirical_success,
     exact_success,
     majority_success,
+    majority_vote,
+    majority_vote_count,
     matching_basis,
     measure_matching_basis,
     message_qubits,
+    mixture_success,
     outcome_probabilities,
     prepare_state,
     run_repeated,
@@ -24,7 +27,7 @@ from bhm.quantum import (
 )
 from bhm.seeding import substream
 
-from helpers import binomial_tail_at_least
+from helpers import binomial_tail_at_least, mixture_average, mixture_cells
 
 
 def test_prepare_state_examples():
@@ -313,3 +316,26 @@ def test_empirical_success_matches_exact():
         assert abs(p_hat - p) <= 3 * math.sqrt(p * (1 - p) / shots)
     with pytest.raises(ValueError):
         empirical_success(BhmInstance(inst.x, inst.matching, inst.w, None), 10, substream(515, 999))
+
+
+def test_mixture_success_equals_enumeration():
+    for n in (1, 2, 3):
+        cells = mixture_cells(n)
+        for r in (1, 3):
+            for promise in (False, True):
+                expected = mixture_average(
+                    cells, lambda inst, r=r: exact_success(inst, r), promise
+                )
+                assert mixture_success(n, r, promise) == expected
+
+
+def test_majority_vote_count_is_the_vote_on_sorted_bits():
+    # exchangeable edges: the d disagreeing ones may be the first d, draw for draw
+    for n in (1, 7, 64):
+        for d in range(0, n + 1, max(1, n // 8)):
+            for r in (1, 3, 9):
+                sorted_bits = (np.arange(n) < d).astype(np.uint8)
+                for t in range(5):
+                    assert majority_vote_count(n, d, r, substream(515, n, d, r, t)) == (
+                        majority_vote(sorted_bits, r, substream(515, n, d, r, t))
+                    )
