@@ -218,7 +218,12 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    ns = [int(v) for v in args.ns.split(",") if v]
+    try:
+        ns = [int(v) for v in args.ns.split(",") if v]
+    except ValueError:
+        raise ValueError(
+            f"--ns must be a comma-separated list of integers, got {args.ns!r}"
+        ) from None
     rows = run_separation_sweep(ns, args.reps, args.subset_size, args.trials, args.seed)
     emit(rows, list(rows[0]), args.format, args.out)
     return EXIT_OK
@@ -320,6 +325,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
+        # every subcommand has --seed; substream refuses negative seeds too,
+        # but only once a run reaches its first draw
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -46,6 +46,8 @@ def enumerate_matchings(t: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 def _validate_weight(n: int, k: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if k % 2 != 0:
         # a lifted character always has even weight, so odd k can never
         # be matched internally

@@ -4,23 +4,177 @@ Every stochastic entry point takes either an explicit generator or a
 seed.  Units of work (trials, chunks, experiment stages) draw from
 ``substream(seed, index, ...)`` so that results are independent of
 execution order and safe to parallelize.
+
+``substream(seed, *path)`` is, draw for draw, the stream of
+``PCG64(SeedSequence(entropy=seed, spawn_key=path))``.  It does not build
+the ``SeedSequence``: it repeats numpy's SeedSequence hash, which numpy
+documents as stable (the constants are those of
+``numpy/random/bit_generator.pyx``), so every stream stays bit-identical
+to the numpy route that tests keep as the oracle.  The hash folds the
+entropy words in one at a time, so the pool after every word but the
+last is shared by all paths that differ only in their last word.  One
+cache entry hashes that prefix once and runs the rest of the hash for a
+block of ``_BLOCK`` consecutive last words at once, as ``uint32`` array
+arithmetic, giving the four PCG64 seed words of each.  Runners that
+count trials in the last path entry therefore pay the hash about once
+per block.  The cache keeps the last ``_CACHED_BLOCKS`` blocks, and its
+arrays are read-only, because every generator seeded from a row shares
+them.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from typing import TYPE_CHECKING
+
 import numpy as np
 
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
-def generator(seed: int) -> np.random.Generator:
-    """Root generator for a whole run."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+# SeedSequence hash constants, numpy/random/bit_generator.pyx
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+#: Consecutive last entropy words hashed together (divides 2**32).
+_BLOCK = 1024
+#: Blocks the cache keeps; each holds _BLOCK x 32 bytes of seed words.
+_CACHED_BLOCKS = 4
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def _words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int; ``[0]`` for 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """One SeedSequence hash step; ``value`` is an int or a ``uint32`` array.
+
+    Returns the hashed value and the next hash constant.  Array
+    arithmetic wraps modulo 2**32, which the masks give for ints.
+    """
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _pool(words: list) -> list:
+    """SeedSequence's entropy pool after mixing in ``words``.
+
+    ``words`` holds more words than the pool, as it always does with a
+    spawn key, so each word past the pool size is mixed into every pool
+    word; the last of them may be a ``uint32`` array, giving one pool per
+    entry.
+    """
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool
+
+
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
+def _state_block(
+    seed: int, head: tuple[int, ...], split: int, rest: int, block: int
+) -> np.ndarray:
+    """PCG64 seed words of ``_BLOCK`` paths ``head + (entry,)``, one row each.
+
+    Row i is ``SeedSequence(seed, spawn_key=head + (entry,)).generate_state(4,
+    np.uint64)`` for ``entry = rest + ((block * _BLOCK + i) << split)``,
+    where ``rest < 2**split`` and ``split`` is a multiple of 32.
+    """
+    words = _words(seed)
+    # with a spawn key, SeedSequence pads the seed's words to the pool size
+    words += [0] * (_POOL_SIZE - len(words))
+    for entry in head:
+        words += _words(entry)
+    words += [rest >> shift & _MASK32 for shift in range(0, split, 32)]
+    words.append(np.arange(_BLOCK, dtype=np.uint32) + block * _BLOCK)
+    pool = _pool(words)
+    # generate_state(4, np.uint64): 8 uint32 words, cycling over the pool
+    state = np.empty((_BLOCK, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+    # numpy pairs the words little-endian before converting to native order
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    seeds.flags.writeable = False
+    return seeds
+
+
+@functools.cache
+def _seeded_generator_types():
+    # numpy.random is imported on first use: importing bhm must not load it
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Hands PCG64 seed words computed by ``_state_block``."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks once, for 4 uint64 words
+            return self.words
+
+    return Generator, PCG64, SeedWords
+
+
+def substream(seed: int, *path: int) -> Generator:
     """Generator for one unit of work, e.g. ``substream(seed, trial)``.
 
     Distinct paths give statistically independent streams, and the
-    mapping (seed, path) -> stream is stable across runs and platforms.
+    mapping (seed, path) -> stream is stable across runs and platforms:
+    it is the stream of
+    ``PCG64(SeedSequence(entropy=seed, spawn_key=path))``.  The seed and
+    the path entries must be nonnegative integers, and the path must not
+    be empty.
     """
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.PCG64(seq))
+    seed = operator.index(seed)
+    path = tuple(map(operator.index, path))
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not path:
+        # without a spawn key SeedSequence skips the padding, a route no caller uses
+        raise ValueError("substream needs at least one path entry")
+    if min(path) < 0:
+        raise ValueError(f"seed path entries must be nonnegative, got {path}")
+    last = path[-1]
+    # the hash takes the last entry's top 32-bit word last: consecutive
+    # values of that word share the hash of everything before it
+    split = max(last.bit_length() - 1, 0) // 32 * 32
+    top = last >> split
+    seeds = _state_block(seed, path[:-1], split, last - (top << split), top // _BLOCK)
+    generator, pcg64, seed_words = _seeded_generator_types()
+    return generator(pcg64(seed_words(seeds[top % _BLOCK])))

@@ -333,6 +333,35 @@ def test_sweep_rejects_negative_subset_size(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "4", "--count", "2"],
+        ["quantum-run", "--n", "4", "--trials", "2"],
+        ["classical-run", "--n", "4", "--subset-size", "2", "--trials", "2"],
+        ["sweep", "--ns", "4", "--trials", "2", "--subset-size", "2"],
+    ],
+)
+def test_stochastic_commands_reject_negative_seed(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_names_an_unparsable_grid(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        ["sweep", "--ns", "16,abc", "--trials", "10", "--subset-size", "2", "--seed", "1",
+         "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "--ns must be a comma-separated list of integers, got '16,abc'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_verify_all_smoke(tmp_path):
     out = tmp_path / "v.jsonl"
     code = run_cli(

@@ -77,6 +77,20 @@ def test_gamma_validation():
         gamma_bound(4, 5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma_exact(0, 2),
+        lambda: gamma_bound(0, 2),
+        lambda: gamma_monte_carlo(0, 2, 10, substream(205, 0)),
+    ],
+    ids=["gamma_exact", "gamma_bound", "gamma_monte_carlo"],
+)
+def test_gamma_functions_name_a_nonpositive_n(call):
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        call()
+
+
 def test_gamma_bound_dominates_exact():
     for n in range(1, 33):
         for k in range(2, 2 * n + 1, 2):
