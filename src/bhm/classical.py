@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .instances import (  # noqa: F401
     _count_law,
     _sample_source_and_count,
     _sample_t_arrays,
-    sample_T,
 )
 from .quantum import majority_success
 from .seeding import substream
@@ -41,16 +40,6 @@ DEFAULT_ENUMERATION_BUDGET = 100_000
 
 #: Cap on the number of Alice maps the brute force will enumerate.
 DEFAULT_MAP_BUDGET = 1 << 16
-
-
-@dataclass(frozen=True)
-class OneWayProtocol:
-    """Alice/Bob maps for a c-bit one-way protocol (the oracle route)."""
-
-    name: str
-    message_bits: int
-    alice: Callable[[BitString], int]
-    bob: Callable[[int, PerfectMatching, BitString, np.random.Generator], int]
 
 
 @dataclass(frozen=True)
@@ -98,49 +87,6 @@ class SuccessReport:
 
 # ---------------------------------------------------------------------------
 # subset protocol
-
-
-def subset_protocol(subset: Iterable[int]) -> OneWayProtocol:
-    """Alice sends x restricted to the given positions.
-
-    Bob recomputes the parity of every edge with both endpoints in the
-    subset and votes the corresponding w bits against them: a majority of
-    agreements means source 0, of disagreements source 1, and a tie (in
-    particular no fully known edge) falls back to a fair coin.  An oracle
-    route on whole instances: runs use :func:`subset_trial_outcomes`,
-    which draws only the counts this vote reads.
-    """
-    positions = tuple(sorted({int(i) for i in subset}))
-    if positions and positions[0] < 1:
-        raise ValueError("positions are 1-based")
-
-    def alice(x: BitString) -> int:
-        message = 0
-        for i, pos in enumerate(positions):
-            message |= x.bit(pos) << i
-        return message
-
-    def bob(
-        message: int, matching: PerfectMatching, w: BitString, rng: np.random.Generator
-    ) -> int:
-        known = {pos: (message >> i) & 1 for i, pos in enumerate(positions)}
-        agree = disagree = 0
-        for i, (k, l) in enumerate(matching.edges, start=1):
-            if k in known and l in known:
-                if w.bit(i) == known[k] ^ known[l]:
-                    agree += 1
-                else:
-                    disagree += 1
-        if agree != disagree:
-            return 0 if agree > disagree else 1
-        return int(rng.integers(2))
-
-    return OneWayProtocol(
-        name=f"subset-{len(positions)}",
-        message_bits=len(positions),
-        alice=alice,
-        bob=bob,
-    )
 
 
 def expected_internal_edges(n: int, c: int) -> Fraction:
@@ -296,24 +242,6 @@ def run_subset_trials(
     _, correct = subset_trial_outcomes(n, positions, trials, seed, restrict_promise)
     hits = int(np.count_nonzero(correct))
     return _monte_carlo_report(f"subset-{len(positions)}", len(positions), hits, trials)
-
-
-def run_protocol_trials(
-    protocol: OneWayProtocol, n: int, trials: int, seed: int
-) -> SuccessReport:
-    """Monte-Carlo success of any protocol against the mixture (oracle route)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    hits = 0
-    for t in range(trials):
-        rng = substream(seed, t)
-        inst = sample_T(n, rng)
-        message = protocol.alice(inst.x)
-        guess = protocol.bob(message, inst.matching, inst.w, rng)
-        hits += guess == inst.source
-    return _monte_carlo_report(protocol.name, protocol.message_bits, hits, trials)
 
 
 def _monte_carlo_report(

@@ -169,6 +169,9 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
 def _cmd_classical_run(args: argparse.Namespace) -> int:
     if args.subset_size < 0:
         raise ValueError(f"--subset-size must be nonnegative, got {args.subset_size}")
+    # with n < 1 the runner's own "n must be positive" is the message
+    if args.n >= 1 and args.subset_size > 2 * args.n:
+        raise ValueError(f"--subset-size {args.subset_size} out of range 0..{2 * args.n}")
     report = classical.run_subset_trials(
         args.n, range(1, args.subset_size + 1), args.trials, args.seed
     )
@@ -204,6 +207,8 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         "proof_relevant": args.k % 4 == 2,
     }
     if args.mc is not None:
+        if args.mc < 1:
+            raise ValueError(f"--mc must be positive, got {args.mc}")
         if args.seed is None:
             raise ValueError("--mc requires --seed")
         est = combinatorics.gamma_monte_carlo(

@@ -11,8 +11,8 @@ structural equality, and can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -102,22 +102,22 @@ class BitString:
         return f"BitString({self.to_text()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerfectMatching:
     """n disjoint pairs covering {1..2n}, canonicalized at construction.
 
     Canonical form: k < l inside every pair, pairs sorted by k.  Any
     permutation of the same pairs constructs an equal object, and edge i
     (1-based) always means the i-th pair of the canonical order.  The
-    canonical pairs are stored once as a read-only 0-based (n, 2) array;
-    ``edges`` is their 1-based tuple view, which equality and hashing use.
+    constructor takes 1-based pairs and stores only the canonical
+    read-only 0-based (n, 2) int64 array, whose bytes equality and
+    hashing compare; ``edges`` is a 1-based tuple view derived from it.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairs: np.ndarray
 
     def __post_init__(self) -> None:
-        pairs = np.asarray(self.edges)
+        pairs = np.asarray(self._pairs)
         if pairs.ndim != 2 or pairs.shape[0] == 0 or pairs.shape[1] != 2:
             raise ValueError("edges must be a nonempty sequence of pairs")
         if pairs.dtype.kind not in "iu":
@@ -126,15 +126,9 @@ class PerfectMatching:
         pairs = pairs[np.argsort(pairs[:, 0])]
         if not np.array_equal(np.sort(pairs, axis=None), np.arange(1, pairs.size + 1)):
             raise ValueError("edges must cover {1..2n} exactly once")
-        edges = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-        object.__setattr__(self, "edges", edges)
         pairs -= 1
         pairs.setflags(write=False)
         object.__setattr__(self, "_pairs", pairs)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> PerfectMatching:
-        return cls(tuple(pairs))
 
     @classmethod
     def from_text(cls, text: str) -> PerfectMatching:
@@ -147,17 +141,30 @@ class PerfectMatching:
             raise ValueError(f"not a matching: {text!r} ({exc})") from exc
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Canonical 1-based pairs, rebuilt from the array on each access."""
+        return tuple(map(tuple, (self._pairs + 1).tolist()))
+
+    @property
     def n(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return self._pairs.shape[0]
 
     @property
     def size(self) -> int:
         """Number of matched points, 2n."""
-        return 2 * len(self.edges)
+        return self._pairs.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PerfectMatching):
+            return NotImplemented
+        return self._pairs.tobytes() == other._pairs.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self._pairs.tobytes())
 
     def to_text(self) -> str:
-        return ",".join(f"{k}-{l}" for k, l in self.edges)
+        return ",".join(["%d-%d"] * self.n) % tuple((self._pairs + 1).ravel().tolist())
 
     def pairs_array(self) -> np.ndarray:
         """Edges as a read-only 0-based (n, 2) integer array."""

@@ -90,11 +90,6 @@ class FourierSpectrum:
             )
         object.__setattr__(self, "coefficients", table)
 
-    def coefficient_at(self, s: BitString) -> float:
-        if s.length != self.m:
-            raise DimensionMismatch(f"character of length {s.length} on a {self.m}-cube")
-        return float(self.coefficients[s.to_index()])
-
 
 def _fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, O(m 2^m) butterfly."""

@@ -70,7 +70,6 @@ class TrialReport:
     truth: int | None
     shots: int
     qubit_cost: int
-    seed: int | None = None
 
     @property
     def correct(self) -> bool | None:
@@ -92,16 +91,16 @@ def prepare_state(x: BitString) -> MessageState:
     return MessageState(amplitudes=signs / math.sqrt(x.length))
 
 
+#: Rows 2i and 2i + 1 of the matching basis at the endpoints (k, l) of edge i.
+_EDGE_BASIS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
 def matching_basis(matching: PerfectMatching) -> np.ndarray:
     """Explicit orthonormal basis; rows 2i and 2i+1 are the +- vectors of edge i."""
     dim = matching.size
     basis = np.zeros((dim, dim))
-    root_half = 1.0 / math.sqrt(2.0)
-    for i, (k, l) in enumerate(matching.edges):
-        basis[2 * i, k - 1] = root_half
-        basis[2 * i, l - 1] = root_half
-        basis[2 * i + 1, k - 1] = root_half
-        basis[2 * i + 1, l - 1] = -root_half
+    rows = np.arange(dim).reshape(-1, 2, 1)
+    basis[rows, matching.pairs_array()[:, None, :]] = _EDGE_BASIS
     return basis
 
 
@@ -116,8 +115,8 @@ def outcome_probabilities(state: MessageState, matching: PerfectMatching) -> np.
 
 
 def _edge_parity(state: MessageState, matching: PerfectMatching, i: int) -> int:
-    k, l = matching.edges[i]
-    return 0 if state.amplitudes[k - 1] * state.amplitudes[l - 1] > 0 else 1
+    k, l = matching.pairs_array()[i].tolist()
+    return 0 if state.amplitudes[k] * state.amplitudes[l] > 0 else 1
 
 
 def measure_matching_basis(

@@ -18,43 +18,19 @@ from bhm.classical import (
     bruteforce_optimal,
     expected_internal_edges,
     known_edge_success,
-    run_protocol_trials,
     run_subset_trials,
-    subset_protocol,
     subset_mixture_success,
     subset_success_exact,
     subset_trial_outcomes,
 )
 from bhm.core import BitString
 from bhm.errors import BudgetExceeded
-from bhm.instances import PromiseClass, classify_promise, sample_promise_instance
 from bhm.seeding import substream
 
 from helpers import MC_Z_BOUND, mixture_average, mixture_cells, z_score
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "bruteforce_n2_c1.json").read_text())
 FROZEN_OPTIMUM = Fraction(FIXTURE["optimal_success"])
-
-
-def test_subset_protocol_message_packing():
-    protocol = subset_protocol([3, 1])
-    assert protocol.message_bits == 2
-    x = BitString.from_text("1010")
-    # sorted positions (1, 3); message bit 0 is x_1, bit 1 is x_3
-    assert protocol.alice(x) == 0b11
-    assert subset_protocol([]).alice(x) == 0
-    with pytest.raises(ValueError):
-        subset_protocol([0, 2])
-
-
-def test_subset_protocol_full_information_is_exact_on_promise():
-    for t in range(300):
-        inst = sample_promise_instance(4, substream(601, t))
-        protocol = subset_protocol(range(1, 9))
-        message = protocol.alice(inst.x)
-        guess = protocol.bob(message, inst.matching, inst.w, substream(601, 10_000 + t))
-        expected = 0 if classify_promise(inst) is PromiseClass.ZERO else 1
-        assert guess == expected
 
 
 def test_subset_exact_chain_values_and_monotonicity():
@@ -133,15 +109,12 @@ def test_subset_trials_no_internal_edges_is_fair_coin():
 
 
 def test_subset_runners_match_mixture_oracle():
-    # the object route draws whole instances and the array runner draws
-    # (b, d, K), so their trials differ; each must sit in the z-band of
-    # the exact mixture success
+    # the runner draws (b, d, K) per trial; its frequency must sit in the
+    # z-band of the exact mixture success, with and without the promise
     n, c, trials = 4, 4, 5_000
     exact = subset_mixture_success(n, c, promise=False)
-    report_generic = run_protocol_trials(subset_protocol(range(1, c + 1)), n, trials, 605)
     report_array = run_subset_trials(n, range(1, c + 1), trials, 605)
     assert report_array.protocol == "subset-4"
-    assert z_score(report_generic.success_prob, exact, trials) <= MC_Z_BOUND
     assert z_score(report_array.success_prob, exact, trials) <= MC_Z_BOUND
     report_promise = run_subset_trials(
         n, range(1, c + 1), trials, 613, restrict_promise=True
@@ -232,16 +205,12 @@ def test_trial_runners_reject_nonpositive_trials():
             subset_trial_outcomes(4, [1, 2], trials, seed=607)
         with pytest.raises(ValueError, match="trials must be positive"):
             run_subset_trials(4, [1, 2], trials, seed=607)
-        with pytest.raises(ValueError, match="trials must be positive"):
-            run_protocol_trials(subset_protocol([1, 2]), 4, trials, seed=607)
 
 
 def test_trial_runners_reject_nonpositive_n():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be positive"):
             subset_trial_outcomes(n, [], 5, seed=607)
-        with pytest.raises(ValueError, match="n must be positive"):
-            run_protocol_trials(subset_protocol([]), n, 5, seed=607)
 
 
 def test_bayes_success_exact_values():

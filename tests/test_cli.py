@@ -158,6 +158,17 @@ def test_classical_run_rejects_negative_subset_size(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_classical_run_names_an_oversized_subset(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code = run_cli(
+        ["classical-run", "--n", "4", "--subset-size", "99", "--trials", "5",
+         "--seed", "1", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "--subset-size 99 out of range 0..8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bruteforce_report(tmp_path, capsys):
     out = tmp_path / "b.json"
     assert run_cli(["bruteforce", "--n", "2", "--bits", "1", "--out", str(out)]) == 0
@@ -187,6 +198,17 @@ def test_gamma_report(tmp_path, capsys):
 def test_gamma_rejects_nonpositive_n(capsys):
     assert run_cli(["gamma", "--n", "0", "--k", "2"]) == cli.EXIT_CONFIG
     assert "--n must be positive, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mc", ["0", "-5"])
+def test_gamma_rejects_nonpositive_mc(tmp_path, capsys, mc):
+    out = tmp_path / "g.json"
+    code = run_cli(
+        ["gamma", "--n", "3", "--k", "2", "--mc", mc, "--seed", "1", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert f"--mc must be positive, got {mc}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gamma_with_monte_carlo(tmp_path):

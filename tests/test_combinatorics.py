@@ -25,10 +25,10 @@ def test_count_matchings_equals_enumeration():
     for t in range(2, 11, 2):
         listing = enumerate_matchings(t)
         assert len(listing) == count_matchings(t)
-        # all distinct, all valid
+        # all distinct, all valid, and distinct again as matchings, whose
+        # equality and hash compare the canonical pair bytes
         assert len(set(listing)) == len(listing)
-        for pairs in listing:
-            PerfectMatching(pairs)
+        assert len({PerfectMatching(pairs) for pairs in listing}) == count_matchings(t)
 
 
 def test_count_matchings_rejects_odd():

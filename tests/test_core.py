@@ -136,6 +136,10 @@ def test_value_types_are_read_only_and_never_aliased():
     assert m.to_text() == "1-2,3-4"
     with pytest.raises(ValueError):
         m.pairs_array()[0, 0] = 2
+    # one stored representation: the canonical 0-based int64 pairs
+    assert list(vars(m)) == ["_pairs"]
+    assert m.pairs_array().dtype == np.int64
+    assert m.pairs_array().tolist() == [[0, 1], [2, 3]]
 
 
 def test_matching_text_and_matrix():
