@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -112,9 +112,9 @@ def known_edge_success(k: int) -> Fraction:
 
 
 def subset_trial_outcomes(
-    n: int, subset: Iterable[int], trials: int, seed: int, restrict_promise: bool = False
+    n: int, c: int, trials: int, seed: int, restrict_promise: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the subset protocol over fresh mixture draws.
+    """Run the subset protocol with c known positions over fresh mixture draws.
 
     Returns (known_edge_counts, correct_flags), one entry per trial.
     Trial t draws from substream(seed, t), so any single trial can be
@@ -122,20 +122,18 @@ def subset_trial_outcomes(
 
     A trial draws only what the vote reads: the source bit b and the
     disagreement count d (:func:`instances._sample_source_and_count`),
-    the number K of matching edges inside the subset, which depends on
-    the subset only through its size c (:func:`_known_edge_count`), and
-    the number of those K edges that disagree with w.  The d
-    disagreeing edges are a uniform d-subset independent of the
-    matching, so that number is Hypergeometric(n, d, K).
+    the number K of matching edges inside the known positions, which
+    depends on them only through their number c
+    (:func:`_known_edge_count`), and the number of those K edges that
+    disagree with w.  The d disagreeing edges are a uniform d-subset
+    independent of the matching, so that number is Hypergeometric(n, d, K).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    positions = sorted({int(i) for i in subset})
-    if positions and (positions[0] < 1 or positions[-1] > 2 * n):
-        raise ValueError("subset positions out of range 1..2n")
-    c = len(positions)
+    if not 0 <= c <= 2 * n:
+        raise ValueError(f"subset size {c} out of range 0..{2 * n}")
     ks = np.empty(trials, dtype=np.int64)
     correct = np.empty(trials, dtype=bool)
     for t in range(trials):
@@ -205,9 +203,8 @@ def subset_mixture_success(n: int, c: int, promise: bool) -> Fraction:
     """Exact success of the subset protocol on any c known positions, at any n.
 
     Averages the vote over the known-edge count K (:func:`_known_edge_law`).
-    Without the promise, success given K is :func:`known_edge_success`,
-    and the result equals :func:`subset_success_exact`, its enumeration
-    oracle at tiny n.  With ``promise``, it also averages over the source
+    Without the promise, success given K is :func:`known_edge_success`.
+    With ``promise``, it also averages over the source
     bit, the disagreement count d inside the promise and the disagreeing
     known edges, Hypergeometric(n, d, K); that costs O(n c^2) big-integer
     terms.
@@ -235,13 +232,12 @@ def subset_mixture_success(n: int, c: int, promise: bool) -> Fraction:
 
 
 def run_subset_trials(
-    n: int, subset: Iterable[int], trials: int, seed: int, restrict_promise: bool = False
+    n: int, c: int, trials: int, seed: int, restrict_promise: bool = False
 ) -> SuccessReport:
-    """Monte-Carlo success report for the subset protocol."""
-    positions = sorted({int(i) for i in subset})
-    _, correct = subset_trial_outcomes(n, positions, trials, seed, restrict_promise)
+    """Monte-Carlo success report for the subset protocol with c known positions."""
+    _, correct = subset_trial_outcomes(n, c, trials, seed, restrict_promise)
     hits = int(np.count_nonzero(correct))
-    return _monte_carlo_report(f"subset-{len(positions)}", len(positions), hits, trials)
+    return _monte_carlo_report(f"subset-{c}", c, hits, trials)
 
 
 def _monte_carlo_report(
@@ -262,56 +258,38 @@ def _monte_carlo_report(
 # exact enumeration
 
 
-def _check_enumeration_budget(n: int, budget: int) -> None:
+def _joint_mass(n: int, budget: int) -> tuple[np.ndarray, int]:
+    """The mixture's exact joint mass over (x, matching, source, w), scaled to integers.
+
+    Returns (mass, denom) with mass[x, matching, b, w] = 4^n mu_b(w xor Mx),
+    matchings in :func:`enumerate_matchings` order, so that the mixture
+    probability of a cell is mass / denom.  The budget is checked before
+    anything is built.
+    """
     work = (1 << (2 * n)) * count_matchings(2 * n) * (1 << n)
     if work > budget:
         raise BudgetExceeded(
             f"exact enumeration needs {work} tuple visits, budget is {budget}"
         )
-
-
-def _scaled_densities(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """4^n * mu_b as integer tables over noise patterns e in {0,1}^n."""
     ones = _popcounts(1 << n)
-    mu1 = 3**ones
-    mu0 = 3 ** (n - ones)
-    return mu0, mu1
+    mu = np.stack([3 ** (n - ones), 3**ones])  # 4^n mu_b over noise patterns
+    images = np.stack(
+        [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)],
+        axis=1,
+    )
+    noise = images[:, :, None] ^ np.arange(1 << n)  # [x, matching, w]
+    mass = np.moveaxis(mu[:, noise], 0, 2)
+    return mass, 2 * images.size * 4**n
 
 
-def subset_success_exact(
-    n: int, subset: Iterable[int], budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Fraction:
-    """Exact mixture success of the subset protocol at tiny n (oracle route)."""
-    _check_enumeration_budget(n, budget)
-    positions = sorted({int(i) for i in subset})
-    if positions and (positions[0] < 1 or positions[-1] > 2 * n):
-        raise ValueError("subset positions out of range 1..2n")
-    in_subset = [False] * (2 * n)
-    for pos in positions:
-        in_subset[pos - 1] = True
-    mu0, mu1 = _scaled_densities(n)
-    matchings = enumerate_matchings(2 * n)
-    # twice the winning mass per (x, M, w) cell, so coin-flip ties stay integral
-    numer2 = 0
-    for pairs in matchings:
-        image = matching_image_table(PerfectMatching(pairs))
-        internal = [
-            i for i, (k, l) in enumerate(pairs) if in_subset[k - 1] and in_subset[l - 1]
-        ]
-        k_known = len(internal)
-        for x_idx in range(1 << (2 * n)):
-            y = int(image[x_idx])
-            for w_idx in range(1 << n):
-                e = w_idx ^ y
-                agree = sum(1 for i in internal if not (e >> i) & 1)
-                if 2 * agree > k_known:
-                    numer2 += 2 * int(mu0[e])
-                elif 2 * agree < k_known:
-                    numer2 += 2 * int(mu1[e])
-                else:
-                    numer2 += int(mu0[e]) + int(mu1[e])
-    denom = 2 * (1 << (2 * n)) * len(matchings) * 4**n
-    return Fraction(numer2, 2 * denom)
+def _winning_mass(joint: np.ndarray) -> np.ndarray:
+    """The best Bob's winning mass, one total per message class.
+
+    ``joint[..., matching, b, w]`` is the joint mass of one message class.
+    On each (matching, w) Bob guesses the source with the larger mass; the
+    result sums those larger masses over (matching, w).
+    """
+    return np.maximum(joint[..., 0, :], joint[..., 1, :]).sum(axis=(-2, -1))
 
 
 def alice_constant(n: int) -> np.ndarray:
@@ -351,30 +329,16 @@ def bayes_success(
     (message, matching, w); the sum of winning masses is computed in
     integer arithmetic and returned as an exact rational.
     """
-    _check_enumeration_budget(n, budget)
     alice_map = np.asarray(alice, dtype=np.int64)
     if alice_map.shape != (1 << (2 * n),):
         raise ValueError(f"alice map must have length {1 << (2 * n)}")
     if alice_map.min() < 0 or alice_map.max() >= (1 << c):
         raise ValueError(f"alice map values must lie in [0, {1 << c})")
-    mu0, mu1 = _scaled_densities(n)
-    matchings = enumerate_matchings(2 * n)
-    size_w = 1 << n
-    winning = 0
-    for pairs in matchings:
-        image = matching_image_table(PerfectMatching(pairs))
-        # mass[m][w][b] = sum over x in message class m of 4^n mu_b(w xor Mx)
-        mass0 = np.zeros((1 << c, size_w), dtype=np.int64)
-        mass1 = np.zeros((1 << c, size_w), dtype=np.int64)
-        ws = np.arange(size_w, dtype=np.int64)
-        for x_idx in range(1 << (2 * n)):
-            e = ws ^ int(image[x_idx])
-            m = alice_map[x_idx]
-            mass0[m] += mu0[e]
-            mass1[m] += mu1[e]
-        winning += int(np.maximum(mass0, mass1).sum())
-    denom = 2 * (1 << (2 * n)) * len(matchings) * 4**n
-    return Fraction(winning, denom)
+    mass, denom = _joint_mass(n, budget)
+    # one-hot message matrix: one row per message value Alice sends
+    classes = (alice_map == np.unique(alice_map)[:, None]).astype(np.int64)
+    joint = np.tensordot(classes, mass, axes=1)  # [message, matching, b, w]
+    return Fraction(int(_winning_mass(joint).sum()), denom)
 
 
 def bruteforce_optimal(
@@ -431,35 +395,13 @@ def _x_text(index: int, n: int) -> str:
 
 def _bruteforce_one_bit(n: int, enumeration_budget: int) -> tuple[Fraction, int]:
     """Exhaustive scan of one-bit Alice maps; returns (value, best map bits)."""
-    _check_enumeration_budget(n, enumeration_budget)
-    num_x = 1 << (2 * n)
-    size_w = 1 << n
-    mu0, mu1 = _scaled_densities(n)
-    matchings = enumerate_matchings(2 * n)
-    # mass_by_x[x, cell] = 4^n mu_b(w xor Mx) for cell = (matching, w, b)
-    cells = len(matchings) * size_w * 2
-    mass_by_x = np.empty((num_x, cells), dtype=np.int64)
-    ws = np.arange(size_w, dtype=np.int64)
-    for mi, pairs in enumerate(matchings):
-        image = matching_image_table(PerfectMatching(pairs))
-        for x_idx in range(num_x):
-            e = ws ^ int(image[x_idx])
-            base = mi * size_w * 2
-            mass_by_x[x_idx, base : base + size_w] = mu0[e]
-            mass_by_x[x_idx, base + size_w : base + 2 * size_w] = mu1[e]
-    totals = mass_by_x.sum(axis=0)
+    mass, denom = _joint_mass(n, enumeration_budget)
+    num_x = mass.shape[0]
     # fix alice(x index 0) = 0: complementing the map relabels messages only
     maps = np.arange(0, 1 << num_x, 2, dtype=np.int64)
-    member = ((maps[:, None] >> np.arange(num_x)) & 1).astype(np.int64)
-    mass1 = member @ mass_by_x  # mass of message class 1, per cell
-    mass0 = totals[None, :] - mass1
-    # winning mass: per (matching, w) pick the better source, separately for
-    # both message classes
-    m0 = mass0.reshape(maps.size, len(matchings), 2, size_w)
-    m1 = mass1.reshape(maps.size, len(matchings), 2, size_w)
-    win0 = np.maximum(m0[:, :, 0, :], m0[:, :, 1, :]).sum(axis=(1, 2))
-    win1 = np.maximum(m1[:, :, 0, :], m1[:, :, 1, :]).sum(axis=(1, 2))
-    score = win0 + win1
+    member = (maps[:, None] >> np.arange(num_x)) & 1
+    mass1 = np.tensordot(member, mass, axes=1)  # joint mass of message class 1
+    mass0 = mass.sum(axis=0) - mass1
+    score = _winning_mass(mass0) + _winning_mass(mass1)
     best = int(np.argmax(score))
-    denom = 2 * num_x * len(matchings) * 4**n
     return Fraction(int(score[best]), denom), int(maps[best])

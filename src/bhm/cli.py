@@ -72,7 +72,7 @@ def run_separation_sweep(
 
     Instances are drawn from the generating mixture restricted to the
     promise.  The quantum side runs the r-shot majority protocol; the
-    classical side runs the subset protocol on the first ``subset_size``
+    classical side runs the subset protocol with ``subset_size`` known
     positions.  Each trial draws only what its vote reads: the source bit
     and the disagreement count, and on the classical side the known-edge
     count (see :func:`classical.subset_trial_outcomes`).
@@ -95,11 +95,7 @@ def run_separation_sweep(
             hits += quantum.majority_vote_count(n, d, reps, rng) == b
         q_hat = hits / trials
         report = classical.run_subset_trials(
-            n,
-            range(1, subset_size + 1),
-            trials,
-            _stage_seed(seed, grid_idx),
-            restrict_promise=True,
+            n, subset_size, trials, _stage_seed(seed, grid_idx), restrict_promise=True
         )
         rows.append(
             {
@@ -172,9 +168,7 @@ def _cmd_classical_run(args: argparse.Namespace) -> int:
     # with n < 1 the runner's own "n must be positive" is the message
     if args.n >= 1 and args.subset_size > 2 * args.n:
         raise ValueError(f"--subset-size {args.subset_size} out of range 0..{2 * args.n}")
-    report = classical.run_subset_trials(
-        args.n, range(1, args.subset_size + 1), args.trials, args.seed
-    )
+    report = classical.run_subset_trials(args.n, args.subset_size, args.trials, args.seed)
     record = report.to_json_dict()
     record["n"] = args.n
     record["seed"] = args.seed

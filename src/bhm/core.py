@@ -12,7 +12,6 @@ structural equality, and can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +44,6 @@ class BitString:
             return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
         except ValueError as exc:
             raise ValueError(f"not a bitstring: {text!r}") from exc
-
-    @classmethod
-    def from_array(cls, values: Sequence[int] | np.ndarray) -> BitString:
-        return cls(values)
 
     @classmethod
     def from_index(cls, length: int, index: int) -> BitString:

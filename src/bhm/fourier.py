@@ -134,19 +134,11 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     return CubeFunction(m=f.m, values=out)
 
 
-def convolve_spectral(
-    f: CubeFunction, g: CubeFunction, scale: float | None = None
-) -> CubeFunction:
-    """XOR convolution through the spectral route.
-
-    The diagonalization factor is 2^m; ``scale`` overrides it and exists
-    only so the verification suite can prove it would catch a wrong
-    normalization.
-    """
+def convolve_spectral(f: CubeFunction, g: CubeFunction) -> CubeFunction:
+    """XOR convolution through the spectral route; the diagonalization factor is 2^m."""
     if f.m != g.m:
         raise DimensionMismatch(f"convolution of dimensions {f.m} and {g.m}")
-    factor = float(1 << f.m) if scale is None else float(scale)
-    product = factor * transform(f).coefficients * transform(g).coefficients
+    product = (1 << f.m) * transform(f).coefficients * transform(g).coefficients
     return inverse_transform(FourierSpectrum(m=f.m, coefficients=product))
 
 

@@ -164,20 +164,12 @@ def run_single(
     return outcome.parity() ^ inst.w.bit(outcome.edge_index)
 
 
-def run_repeated(
-    inst: BhmInstance, r: int, rng: np.random.Generator, method: str = "analytic"
-) -> TrialReport:
+def run_repeated(inst: BhmInstance, r: int, rng: np.random.Generator) -> TrialReport:
     """Majority vote over r independent runs, each with a fresh message state."""
     if r < 1 or r % 2 == 0:
         raise ValueError(f"repetitions must be odd and positive, got {r}")
-    if method == "analytic":
-        guess = majority_vote(_disagreement_bits(inst), r, rng)
-    else:
-        # one run_single per shot: the oracle route for majority_vote
-        ones = sum(run_single(inst, rng, method=method) for _ in range(r))
-        guess = 1 if 2 * ones > r else 0
     return TrialReport(
-        guess=guess,
+        guess=majority_vote(_disagreement_bits(inst), r, rng),
         truth=inst.source,
         shots=r,
         qubit_cost=r * message_qubits(inst.n),

@@ -109,23 +109,13 @@ def check_parseval(m: int, cases: int, seed: int, tol: float = 1e-9) -> CheckRes
     return CheckResult("parseval", worst <= tol, max_gap=worst)
 
 
-def check_convolution(
-    m: int,
-    cases: int,
-    seed: int,
-    tol: float = 1e-9,
-    spectral_scale: float | None = None,
-) -> CheckResult:
-    """Direct XOR convolution against the spectral route.
-
-    ``spectral_scale`` overrides the diagonalization factor; the suite
-    must fail when it is wrong, which the mutation test exercises.
-    """
+def check_convolution(m: int, cases: int, seed: int, tol: float = 1e-9) -> CheckResult:
+    """Direct XOR convolution against the spectral route."""
     worst = 0.0
     for case in range(cases):
         f, g = _random_pair(m, seed, case)
         direct = fourier.convolve(f, g)
-        spectral = fourier.convolve_spectral(f, g, scale=spectral_scale)
+        spectral = fourier.convolve_spectral(f, g)
         scale = max(1.0, float(np.max(np.abs(direct.values))))
         worst = max(worst, float(np.max(np.abs(direct.values - spectral.values))) / scale)
     return CheckResult("convolution_theorem", worst <= tol, max_gap=worst)
@@ -380,8 +370,7 @@ def check_subset_oracle(
     seed: int, n: int = 32, subset_size: int = 12, trials: int = 20_000
 ) -> CheckResult:
     """Per-known-edge-count success against the exact vote oracle."""
-    subset = range(1, subset_size + 1)
-    ks, correct = classical.subset_trial_outcomes(n, subset, trials, seed)
+    ks, correct = classical.subset_trial_outcomes(n, subset_size, trials, seed)
     worst_z = 0.0
     for k in np.unique(ks):
         sel = ks == k
@@ -409,8 +398,7 @@ def check_classical_exact() -> CheckResult:
     ok &= best is not None and all(
         classical.bayes_success(heuristic, n, 1) <= best for heuristic in heuristics
     )
-    chain = [(), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
-    values = [classical.subset_success_exact(n, s) for s in chain]
+    values = [classical.subset_mixture_success(n, c, promise=False) for c in range(2 * n + 1)]
     ok &= all(a <= b for a, b in zip(values, values[1:]))
     return CheckResult("classical_exact", bool(ok))
 

@@ -7,6 +7,7 @@ against a second route, not against itself.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 import math
 
@@ -96,3 +97,16 @@ def mixture_average(cells, value, promise: bool) -> Fraction:
         total += prob * value(inst)
         mass += prob
     return total / mass
+
+
+def bayes_oracle(cells, alice) -> Fraction:
+    """Success of the best Bob against the Alice map alice(x), over mixture cells.
+
+    Bob sees (message, matching, w).  On each such observation he guesses
+    the source with the larger mass, so his success is the sum over
+    observations of the larger of the two source masses.
+    """
+    mass: dict[tuple, list[Fraction]] = defaultdict(lambda: [Fraction(0), Fraction(0)])
+    for inst, prob, _ in cells:
+        mass[alice(inst.x), inst.matching, inst.w][inst.source] += prob
+    return sum(max(pair) for pair in mass.values())

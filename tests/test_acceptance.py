@@ -222,11 +222,11 @@ def test_criterion_09_separation_snapshot():
     assert q_success >= 2 / 3
 
     classical_trials = 100_000
-    low = run_subset_trials(n, range(1, 12), classical_trials, seed=SEED_SEPARATION + 1)
+    low = run_subset_trials(n, 11, classical_trials, seed=SEED_SEPARATION + 1)
     ci_high = low.success_prob + 1.96 * low.sigma
     assert ci_high < 0.55
 
-    big = run_subset_trials(n, range(1, 257), 20_000, seed=SEED_SEPARATION + 2)
+    big = run_subset_trials(n, 256, 20_000, seed=SEED_SEPARATION + 2)
     assert big.success_prob - 3 * big.sigma > 2 / 3
 
     elapsed = time.monotonic() - start

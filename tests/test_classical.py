@@ -20,22 +20,20 @@ from bhm.classical import (
     known_edge_success,
     run_subset_trials,
     subset_mixture_success,
-    subset_success_exact,
     subset_trial_outcomes,
 )
 from bhm.core import BitString
 from bhm.errors import BudgetExceeded
 from bhm.seeding import substream
 
-from helpers import MC_Z_BOUND, mixture_average, mixture_cells, z_score
+from helpers import MC_Z_BOUND, bayes_oracle, mixture_average, mixture_cells, z_score
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "bruteforce_n2_c1.json").read_text())
 FROZEN_OPTIMUM = Fraction(FIXTURE["optimal_success"])
 
 
 def test_subset_exact_chain_values_and_monotonicity():
-    chain = [(), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
-    values = [subset_success_exact(2, s) for s in chain]
+    values = [subset_mixture_success(2, c, promise=False) for c in range(5)]
     assert values == [
         Fraction(1, 2),
         Fraction(1, 2),
@@ -44,11 +42,6 @@ def test_subset_exact_chain_values_and_monotonicity():
         Fraction(3, 4),
     ]
     assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-def test_subset_exact_budget():
-    with pytest.raises(BudgetExceeded):
-        subset_success_exact(4, (1, 2))
 
 
 def test_expected_internal_edges():
@@ -60,7 +53,7 @@ def test_expected_internal_edges():
         expected_internal_edges(4, 9)
     # Monte-Carlo mean of the internal-edge count against the formula
     n, c, trials = 16, 8, 20_000
-    ks, _ = subset_trial_outcomes(n, range(1, c + 1), trials, seed=602)
+    ks, _ = subset_trial_outcomes(n, c, trials, seed=602)
     expected = float(expected_internal_edges(n, c))
     # edge count is bounded by c/2; a coarse variance bound keeps this robust
     sigma_mean = (c / 2) / math.sqrt(trials)
@@ -88,7 +81,7 @@ def test_known_edge_success_values():
 
 def test_subset_trials_match_conditional_oracle():
     n, c, trials = 32, 12, 20_000
-    ks, correct = subset_trial_outcomes(n, range(1, c + 1), trials, seed=603)
+    ks, correct = subset_trial_outcomes(n, c, trials, seed=603)
     for k in np.unique(ks):
         bucket = ks == k
         count = int(bucket.sum())
@@ -101,11 +94,11 @@ def test_subset_trials_match_conditional_oracle():
 
 def test_subset_trials_no_internal_edges_is_fair_coin():
     # a single known position can never complete an edge
-    ks, correct = subset_trial_outcomes(16, [5], 20_000, seed=604)
+    ks, correct = subset_trial_outcomes(16, 1, 20_000, seed=604)
     assert np.all(ks == 0)
     p_hat = float(correct.mean())
     assert abs(p_hat - 0.5) <= 3 * math.sqrt(0.25 / 20_000)
-    assert subset_success_exact(2, (1,)) == Fraction(1, 2)
+    assert subset_mixture_success(2, 1, promise=False) == Fraction(1, 2)
 
 
 def test_subset_runners_match_mixture_oracle():
@@ -113,12 +106,10 @@ def test_subset_runners_match_mixture_oracle():
     # z-band of the exact mixture success, with and without the promise
     n, c, trials = 4, 4, 5_000
     exact = subset_mixture_success(n, c, promise=False)
-    report_array = run_subset_trials(n, range(1, c + 1), trials, 605)
+    report_array = run_subset_trials(n, c, trials, 605)
     assert report_array.protocol == "subset-4"
     assert z_score(report_array.success_prob, exact, trials) <= MC_Z_BOUND
-    report_promise = run_subset_trials(
-        n, range(1, c + 1), trials, 613, restrict_promise=True
-    )
+    report_promise = run_subset_trials(n, c, trials, 613, restrict_promise=True)
     exact_promise = subset_mixture_success(n, c, promise=True)
     assert z_score(report_promise.success_prob, exact_promise, trials) <= MC_Z_BOUND
 
@@ -129,7 +120,6 @@ def test_subset_mixture_success_equals_enumeration():
         for c in range(2 * n + 1):
             law = _known_edge_law(n, c)
             unrestricted = subset_mixture_success(n, c, promise=False)
-            assert unrestricted == subset_success_exact(n, range(1, c + 1))
             assert unrestricted == sum(p * known_edge_success(k) for k, p in enumerate(law))
 
             def vote_success(inst, c=c):
@@ -144,6 +134,7 @@ def test_subset_mixture_success_equals_enumeration():
                     return Fraction(1, 2)
                 return Fraction(int((agree < disagree) == inst.source))
 
+            assert unrestricted == mixture_average(cells, vote_success, promise=False)
             assert subset_mixture_success(n, c, promise=True) == mixture_average(
                 cells, vote_success, promise=True
             )
@@ -175,7 +166,7 @@ def test_known_edge_law_equals_partner_process():
 
 def test_known_edge_counts_follow_exact_law():
     n, c, trials = 16, 8, 20_000
-    ks, _ = subset_trial_outcomes(n, range(1, c + 1), trials, seed=614)
+    ks, _ = subset_trial_outcomes(n, c, trials, seed=614)
     counts = np.bincount(ks, minlength=c // 2 + 1)
     assert counts.size == c // 2 + 1
     for k, p in enumerate(_known_edge_law(n, c)):
@@ -186,31 +177,33 @@ def test_known_edge_counts_follow_exact_law():
 def test_subset_trials_promise_restriction():
     # full information on promise instances recovers the source essentially
     # always once the class/source divergence rate is negligible
-    _, correct = subset_trial_outcomes(
-        15, range(1, 31), 2_000, seed=606, restrict_promise=True
-    )
+    _, correct = subset_trial_outcomes(15, 30, 2_000, seed=606, restrict_promise=True)
     assert float(correct.mean()) >= 0.99
 
 
-def test_subset_position_validation():
-    with pytest.raises(ValueError):
-        subset_trial_outcomes(4, [9], 10, seed=607)
-    with pytest.raises(ValueError):
-        subset_trial_outcomes(4, [0], 10, seed=607)
+def test_subset_size_validation():
+    for c in (9, -1):
+        with pytest.raises(ValueError, match=f"subset size {c} out of range 0..8"):
+            subset_trial_outcomes(4, c, 10, seed=607)
+        with pytest.raises(ValueError, match=f"subset size {c} out of range 0..8"):
+            run_subset_trials(4, c, 10, seed=607)
+    # both ends of the range are valid sizes
+    for c in (0, 8):
+        assert run_subset_trials(4, c, 10, seed=607).message_bits == c
 
 
 def test_trial_runners_reject_nonpositive_trials():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials must be positive"):
-            subset_trial_outcomes(4, [1, 2], trials, seed=607)
+            subset_trial_outcomes(4, 2, trials, seed=607)
         with pytest.raises(ValueError, match="trials must be positive"):
-            run_subset_trials(4, [1, 2], trials, seed=607)
+            run_subset_trials(4, 2, trials, seed=607)
 
 
 def test_trial_runners_reject_nonpositive_n():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be positive"):
-            subset_trial_outcomes(n, [], 5, seed=607)
+            subset_trial_outcomes(n, 0, 5, seed=607)
 
 
 def test_bayes_success_exact_values():
@@ -219,6 +212,36 @@ def test_bayes_success_exact_values():
     assert bayes_success(alice_parity(n), n, 1) == Fraction(1, 2)
     assert bayes_success(alice_identity(n), n, 4) == Fraction(3, 4)
     assert bayes_success(alice_dictator(n, 1), n, 1) == Fraction(1, 2)
+
+
+def test_bayes_success_equals_first_principles_oracle():
+    for n in (1, 2):
+        cells = mixture_cells(n)
+        rng = substream(615, n)
+        maps = [
+            (alice_constant(n), 0),
+            (alice_parity(n), 1),
+            (alice_identity(n), 2 * n),
+            (alice_dictator(n, 1), 1),
+            (alice_dictator(n, 2 * n), 1),
+            (rng.integers(0, 2, size=1 << (2 * n)), 1),
+            (rng.integers(0, 4, size=1 << (2 * n)), 2),
+        ]
+        for amap, c in maps:
+            oracle = bayes_oracle(cells, lambda x, amap=amap: int(amap[x.to_index()]))
+            assert bayes_success(amap, n, c) == oracle
+
+
+def test_bruteforce_is_the_best_one_bit_map_under_the_oracle():
+    cells = mixture_cells(1)
+    values = [
+        bayes_oracle(cells, lambda x, bits=bits: (bits >> x.to_index()) & 1)
+        for bits in range(1 << 4)
+    ]
+    report = bruteforce_optimal(1, 1)
+    assert report.success_exact == max(values)
+    witness = sum(1 << BitString.from_text(t).to_index() for t in report.witness["message_1"])
+    assert values[witness] == max(values)
 
 
 def test_bayes_success_message_relabeling_invariance():
@@ -299,7 +322,7 @@ def test_success_report_validation():
 def test_large_subset_beats_small_subset():
     # statistical version of cost monotonicity at 2n = 64
     n, trials = 32, 20_000
-    small = run_subset_trials(n, range(1, 5), trials, seed=611)
-    large = run_subset_trials(n, range(1, 33), trials, seed=612)
+    small = run_subset_trials(n, 4, trials, seed=611)
+    large = run_subset_trials(n, 32, trials, seed=612)
     pooled = math.sqrt(small.sigma**2 + large.sigma**2)
     assert large.success_prob - small.success_prob > 3 * pooled

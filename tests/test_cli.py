@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bhm import classical, cli, quantum, verify
+from bhm import classical, cli, fourier, quantum, verify
 from bhm.instances import BhmInstance, sample_T
 from bhm.quantum import run_repeated
 from bhm.seeding import substream
@@ -280,17 +280,20 @@ def test_fourier_verify_checks_the_dimension_cap_before_building_tables(capsys):
 
 
 def test_injected_fault_fails_loudly(tmp_path, monkeypatch):
-    # flip the diagonalization constant through the test hook: the suite
-    # must go red and the CLI must exit nonzero
-    bad = verify.check_convolution(6, 5, seed=1, spectral_scale=(1 << 6) / 2)
-    assert not bad.passed
+    # rescale the spectral route as if its 2^m diagonalization factor were
+    # wrong: the suite must go red and the CLI must exit nonzero
+    original = fourier.convolve_spectral
 
-    original = verify.check_convolution
+    def wrong_factor(ratio):
+        def faulted(f, g):
+            return fourier.CubeFunction(m=f.m, values=original(f, g).values * ratio)
 
-    def faulted(m, cases, seed, tol=1e-9, spectral_scale=None):
-        return original(m, cases, seed, tol=tol, spectral_scale=(1 << m) * 2.0)
+        return faulted
 
-    monkeypatch.setattr(verify, "check_convolution", faulted)
+    monkeypatch.setattr(fourier, "convolve_spectral", wrong_factor(0.5))
+    assert not verify.check_convolution(6, 5, seed=1).passed
+
+    monkeypatch.setattr(fourier, "convolve_spectral", wrong_factor(2.0))
     out = tmp_path / "f.jsonl"
     code = run_cli(
         ["fourier-verify", "--m", "6", "--cases", "5", "--seed", "13", "--out", str(out)]

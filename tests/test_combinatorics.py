@@ -140,7 +140,7 @@ def test_gamma_monte_carlo_support_independence():
     bits[rng.choice(2 * n, size=k, replace=False)] = 1
     est_canonical = gamma_monte_carlo(n, k, trials, substream(203, 1))
     est_random = gamma_monte_carlo(
-        n, k, trials, substream(203, 2), z=BitString.from_array(bits)
+        n, k, trials, substream(203, 2), z=BitString(bits)
     )
     pooled = math.sqrt(est_canonical.sigma**2 + est_random.sigma**2)
     assert abs(est_canonical.estimate - est_random.estimate) <= 3 * pooled

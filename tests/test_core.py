@@ -23,7 +23,7 @@ def test_bitstring_round_trips():
     assert b.bit(1) == 0 and b.bit(2) == 1
     assert len(b) == b.length == 4
     assert b.hamming_weight() == 2
-    assert BitString.from_array(b.to_array()) == b
+    assert BitString(b.to_array()) == b
     assert BitString.from_index(4, b.to_index()) == b
     assert BitString.from_index(3, 5).to_index() == 5
 
@@ -183,7 +183,7 @@ def test_apply_matching_matches_gf2_matrix_randomized():
     for _ in range(50):
         n = int(rng.integers(5, 30))
         matching = sample_matching(n, rng)
-        x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+        x = BitString(rng.integers(0, 2, size=2 * n))
         assert np.array_equal(
             apply_matching(matching, x).to_array(), gf2_matrix_product(matching, x)
         )
@@ -224,7 +224,7 @@ def test_lift_weight_randomized():
     for _ in range(50):
         n = int(rng.integers(1, 40))
         matching = sample_matching(n, rng)
-        s = BitString.from_array(rng.integers(0, 2, size=n))
+        s = BitString(rng.integers(0, 2, size=n))
         assert lift_character(matching, s).hamming_weight() == 2 * s.hamming_weight()
 
 

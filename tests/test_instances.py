@@ -89,7 +89,7 @@ def test_sample_matching_is_uniform(n, trials):
 def test_sample_w_agreement_probabilities():
     rng = substream(304, 0)
     n = 100
-    x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+    x = BitString(rng.integers(0, 2, size=2 * n))
     matching = sample_matching(n, rng)
     trials = 5_000
     from bhm.core import apply_matching, hamming_distance
@@ -111,7 +111,7 @@ def test_sample_w_agreement_probabilities():
 def test_sample_w_distribution_is_binomial():
     rng = substream(305, 0)
     n, trials = 20, 20_000
-    x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+    x = BitString(rng.integers(0, 2, size=2 * n))
     matching = sample_matching(n, rng)
     from bhm.core import apply_matching, hamming_distance
 

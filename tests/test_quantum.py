@@ -37,7 +37,7 @@ def test_prepare_state_examples():
     assert np.allclose(s.amplitudes, [1 / math.sqrt(2), -1 / math.sqrt(2)])
     rng = substream(501, 0)
     for n in (1, 5, 64):
-        x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+        x = BitString(rng.integers(0, 2, size=2 * n))
         amps = prepare_state(x).amplitudes
         assert abs(float(amps @ amps) - 1.0) <= 1e-12
     with pytest.raises(DimensionMismatch):
@@ -81,7 +81,7 @@ def test_outcome_probabilities_random_larger():
     rng = substream(503, 0)
     for _ in range(20):
         n = int(rng.integers(2, 40))
-        x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+        x = BitString(rng.integers(0, 2, size=2 * n))
         matching = sample_matching(n, rng)
         probs = outcome_probabilities(prepare_state(x), matching)
         assert abs(float(probs.sum()) - 1.0) <= 1e-12
@@ -106,7 +106,7 @@ def test_measured_sign_always_matches_parity(method):
     rng = substream(505, 0)
     for _ in range(30):
         n = int(rng.integers(1, 10))
-        x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+        x = BitString(rng.integers(0, 2, size=2 * n))
         matching = sample_matching(n, rng)
         parities = apply_matching(matching, x)
         out = measure_matching_basis(prepare_state(x), matching, rng, method)
@@ -140,7 +140,7 @@ def test_measured_parity_guard_raises(monkeypatch):
 def test_projector_and_analytic_agree_in_distribution(n):
     shots = 100_000
     rng = substream(507, n)
-    x = BitString.from_array(rng.integers(0, 2, size=2 * n))
+    x = BitString(rng.integers(0, 2, size=2 * n))
     matching = sample_matching(n, rng)
     state = prepare_state(x)
     exact = outcome_probabilities(state, matching)
@@ -227,11 +227,14 @@ def test_run_repeated_methods_agree():
     inst = pinned_instance(4, 1, source=1, rng=substream(513, 0))
     trials = 10_000
     p = float(exact_success(inst, 3))
-    for method in ("analytic", "projector"):
-        hits = sum(
-            run_repeated(inst, 3, substream(513, 1, t), method=method).guess == 1
-            for t in range(trials)
-        )
+
+    def projector_vote(rng):
+        # one projector run_single per shot: the oracle route for majority_vote
+        ones = sum(run_single(inst, rng, method="projector") for _ in range(3))
+        return 1 if 2 * ones > 3 else 0
+
+    for vote in (lambda rng: run_repeated(inst, 3, rng).guess, projector_vote):
+        hits = sum(vote(substream(513, 1, t)) == 1 for t in range(trials))
         assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
 
