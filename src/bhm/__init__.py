@@ -18,11 +18,9 @@ from .instances import (
     classify_promise,
     density_mu,
     promise_outside_probability,
-    sample_biased,
     sample_matching,
     sample_promise_instance,
     sample_T,
-    sample_w,
 )
 
 __version__ = "0.1.0"
@@ -41,10 +39,8 @@ __all__ = [
     "classify_promise",
     "density_mu",
     "promise_outside_probability",
-    "sample_biased",
     "sample_matching",
     "sample_promise_instance",
     "sample_T",
-    "sample_w",
     "__version__",
 ]

@@ -36,10 +36,10 @@ from .quantum import majority_success
 from .seeding import substream
 
 #: Work cap for the exact joint-mass enumeration (2^2n * matchings * 2^n).
-DEFAULT_ENUMERATION_BUDGET = 100_000
+ENUMERATION_BUDGET = 100_000
 
 #: Cap on the number of Alice maps the brute force will enumerate.
-DEFAULT_MAP_BUDGET = 1 << 16
+MAP_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,6 @@ class SuccessReport:
 
 # ---------------------------------------------------------------------------
 # subset protocol
-
-
-def expected_internal_edges(n: int, c: int) -> Fraction:
-    """Expected number of matching edges inside a fixed c-subset: c(c-1)/(2(2n-1))."""
-    if not 0 <= c <= 2 * n:
-        raise ValueError(f"subset size {c} out of range 0..{2 * n}")
-    return Fraction(c * (c - 1), 2 * (2 * n - 1))
 
 
 def known_edge_success(k: int) -> Fraction:
@@ -258,18 +251,18 @@ def _monte_carlo_report(
 # exact enumeration
 
 
-def _joint_mass(n: int, budget: int) -> tuple[np.ndarray, int]:
+def _joint_mass(n: int) -> tuple[np.ndarray, int]:
     """The mixture's exact joint mass over (x, matching, source, w), scaled to integers.
 
     Returns (mass, denom) with mass[x, matching, b, w] = 4^n mu_b(w xor Mx),
     matchings in :func:`enumerate_matchings` order, so that the mixture
-    probability of a cell is mass / denom.  The budget is checked before
-    anything is built.
+    probability of a cell is mass / denom.  :data:`ENUMERATION_BUDGET` is
+    checked before anything is built.
     """
     work = (1 << (2 * n)) * count_matchings(2 * n) * (1 << n)
-    if work > budget:
+    if work > ENUMERATION_BUDGET:
         raise BudgetExceeded(
-            f"exact enumeration needs {work} tuple visits, budget is {budget}"
+            f"exact enumeration needs {work} tuple visits, budget is {ENUMERATION_BUDGET}"
         )
     ones = _popcounts(1 << n)
     mu = np.stack([3 ** (n - ones), 3**ones])  # 4^n mu_b over noise patterns
@@ -316,12 +309,7 @@ def alice_identity(n: int) -> np.ndarray:
     return np.arange(1 << (2 * n), dtype=np.int64)
 
 
-def bayes_success(
-    alice: Sequence[int] | np.ndarray,
-    n: int,
-    c: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Fraction:
+def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction:
     """Exact success of the best Bob for a fixed Alice map.
 
     ``alice`` assigns a message in [0, 2^c) to every x index.  The optimal
@@ -329,24 +317,24 @@ def bayes_success(
     (message, matching, w); the sum of winning masses is computed in
     integer arithmetic and returned as an exact rational.
     """
-    alice_map = np.asarray(alice, dtype=np.int64)
+    if c < 0:
+        raise ValueError(f"message bits c must be nonnegative, got {c}")
+    alice_map = np.asarray(alice)
+    if alice_map.dtype.kind not in "iu":
+        raise ValueError("alice map values must be integers")
+    alice_map = alice_map.astype(np.int64, copy=False)
     if alice_map.shape != (1 << (2 * n),):
         raise ValueError(f"alice map must have length {1 << (2 * n)}")
     if alice_map.min() < 0 or alice_map.max() >= (1 << c):
         raise ValueError(f"alice map values must lie in [0, {1 << c})")
-    mass, denom = _joint_mass(n, budget)
+    mass, denom = _joint_mass(n)
     # one-hot message matrix: one row per message value Alice sends
     classes = (alice_map == np.unique(alice_map)[:, None]).astype(np.int64)
     joint = np.tensordot(classes, mass, axes=1)  # [message, matching, b, w]
     return Fraction(int(_winning_mass(joint).sum()), denom)
 
 
-def bruteforce_optimal(
-    n: int,
-    c: int,
-    map_budget: int = DEFAULT_MAP_BUDGET,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> SuccessReport:
+def bruteforce_optimal(n: int, c: int) -> SuccessReport:
     """Maximize Bayes success over all Alice maps with c message bits.
 
     One-bit maps are enumerated exhaustively (deduplicated by message
@@ -358,19 +346,17 @@ def bruteforce_optimal(
         raise ValueError("need n >= 1 and c >= 0")
     num_x = 1 << (2 * n)
     if c == 0:
-        value = bayes_success(alice_constant(n), n, 0, budget=enumeration_budget)
+        value = bayes_success(alice_constant(n), n, 0)
         witness = {"message_0": [_x_text(i, n) for i in range(num_x)]}
     elif c >= 2 * n:
         # the identity map induces the finest partition, and refining a
         # partition never lowers the winning mass
-        value = bayes_success(alice_identity(n), n, 2 * n, budget=enumeration_budget)
+        value = bayes_success(alice_identity(n), n, 2 * n)
         witness = {"map": "identity"}
     elif c == 1:
-        if (1 << num_x) > map_budget:
-            raise BudgetExceeded(
-                f"{1 << num_x} one-bit maps exceed map budget {map_budget}"
-            )
-        value, best_map = _bruteforce_one_bit(n, enumeration_budget)
+        if (1 << num_x) > MAP_BUDGET:
+            raise BudgetExceeded(f"{1 << num_x} one-bit maps exceed map budget {MAP_BUDGET}")
+        value, best_map = _bruteforce_one_bit(n)
         witness = {
             "message_0": [_x_text(i, n) for i in range(num_x) if not (best_map >> i) & 1],
             "message_1": [_x_text(i, n) for i in range(num_x) if (best_map >> i) & 1],
@@ -393,9 +379,9 @@ def _x_text(index: int, n: int) -> str:
     return BitString.from_index(2 * n, index).to_text()
 
 
-def _bruteforce_one_bit(n: int, enumeration_budget: int) -> tuple[Fraction, int]:
+def _bruteforce_one_bit(n: int) -> tuple[Fraction, int]:
     """Exhaustive scan of one-bit Alice maps; returns (value, best map bits)."""
-    mass, denom = _joint_mass(n, enumeration_budget)
+    mass, denom = _joint_mass(n)
     num_x = mass.shape[0]
     # fix alice(x index 0) = 0: complementing the map relabels messages only
     maps = np.arange(0, 1 << num_x, 2, dtype=np.int64)

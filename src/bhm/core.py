@@ -77,21 +77,12 @@ class BitString:
     def to_text(self) -> str:
         return (self.bits + ord("0")).tobytes().decode()
 
-    def to_array(self) -> np.ndarray:
-        """Writable copy of the bits."""
-        return self.bits.copy()
-
     def to_index(self) -> int:
         """Cube-table index; inverse of :meth:`from_index`."""
         return int.from_bytes(np.packbits(self.bits, bitorder="little").tobytes(), "little")
 
     def hamming_weight(self) -> int:
         return int(np.count_nonzero(self.bits))
-
-    def __xor__(self, other: BitString) -> BitString:
-        if other.length != self.length:
-            raise DimensionMismatch(f"xor of lengths {self.length} and {other.length}")
-        return BitString(self.bits ^ other.bits)
 
     def __repr__(self) -> str:
         return f"BitString({self.to_text()!r})"

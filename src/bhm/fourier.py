@@ -31,6 +31,9 @@ DEFAULT_MAX_DIM = 20
 #: Largest cube dimension for the direct O(4^m) convolution oracle.
 CONVOLVE_MAX_DIM = 12
 
+#: Largest 2n for which :func:`check_lift_identity` builds its 2^2n table.
+_LIFT_MAX_DIM = 12
+
 
 def _as_table(values: np.ndarray | Iterable[float]) -> np.ndarray:
     table = np.asarray(values, dtype=np.float64).copy()
@@ -56,23 +59,6 @@ class CubeFunction:
                 f"dimension {self.m} needs {1 << self.m} values, got {table.size}"
             )
         object.__setattr__(self, "values", table)
-
-    @classmethod
-    def from_values(cls, values: np.ndarray | Iterable[float]) -> CubeFunction:
-        table = _as_table(values)
-        return cls(m=int(table.size.bit_length() - 1), values=table)
-
-    @classmethod
-    def point_mass(cls, m: int, at: BitString | int, value: float = 1.0) -> CubeFunction:
-        idx = at.to_index() if isinstance(at, BitString) else int(at)
-        table = np.zeros(1 << m)
-        table[idx] = value
-        return cls(m=m, values=table)
-
-    def value_at(self, y: BitString) -> float:
-        if y.length != self.m:
-            raise DimensionMismatch(f"point of length {y.length} on a {self.m}-cube")
-        return float(self.values[y.to_index()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,16 +135,14 @@ def check_parseval(f: CubeFunction) -> tuple[float, float, float]:
     return lhs, rhs, abs(lhs - rhs)
 
 
-def check_l1_l2(f: CubeFunction, tol: float = 1e-12) -> bool:
+def check_l1_l2(f: CubeFunction) -> bool:
     """Cauchy-Schwarz relation ||f||_2^2 >= ||f||_1^2 / 2^m."""
     l2sq = float(np.sum(f.values**2))
     l1 = float(np.sum(np.abs(f.values)))
-    return l2sq >= l1 * l1 / (1 << f.m) - tol
+    return l2sq >= l1 * l1 / (1 << f.m) - 1e-12
 
 
-def check_kkl(
-    f: CubeFunction, delta: float, tol: float = 1e-12
-) -> tuple[float, float, bool]:
+def check_kkl(f: CubeFunction, delta: float) -> tuple[float, float, bool]:
     """Weighted spectral mass bound for {-1,0,1}-valued functions.
 
     Returns (sum_s delta^h(s) fhat(s)^2, t^(2/(1+delta)), holds) where t
@@ -175,7 +159,7 @@ def check_kkl(
     weights = float(delta) ** _popcounts(size)  # 0.0**0 == 1.0 as required
     lhs = float(weights @ (transform(f).coefficients ** 2))
     rhs = float(t ** (2.0 / (1.0 + delta)))
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + 1e-12
 
 
 def mu_difference(n: int) -> CubeFunction:
@@ -189,16 +173,11 @@ def mu_difference(n: int) -> CubeFunction:
     return CubeFunction(m=n, values=mu0 - mu1)
 
 
-def f_spectrum_closed_form(n: int, s: BitString) -> float:
-    """Coefficient of mu_0 - mu_1 at s: 2 / 2^(n+k) for odd weight k, else 0."""
-    if s.length != n:
-        raise DimensionMismatch(f"character of length {s.length} for n={n}")
-    k = s.hamming_weight()
-    return 2.0 / float(1 << (n + k)) if k % 2 == 1 else 0.0
-
-
 def closed_form_spectrum_table(n: int) -> np.ndarray:
-    """Vectorized :func:`f_spectrum_closed_form` over all 2^n characters."""
+    """Coefficients of mu_0 - mu_1 over all 2^n characters s.
+
+    The coefficient at s is 2 / 2^(n+k) when the weight k of s is odd, else 0.
+    """
     ks = _popcounts(1 << n)
     return np.where(ks % 2 == 1, 2.0 / (2.0 ** (n + ks)), 0.0)
 
@@ -239,9 +218,7 @@ def gM_from_set(A: Iterable[BitString], matching: PerfectMatching) -> CubeFuncti
     return CubeFunction(m=matching.n, values=counts / len(indices))
 
 
-def check_lift_identity(
-    A: Iterable[BitString], matching: PerfectMatching, max_dim: int = 12
-) -> float:
+def check_lift_identity(A: Iterable[BitString], matching: PerfectMatching) -> float:
     """Max gap of ghat(lift(s)) = 2^-n gMhat(s) over all s.
 
     g is the uniform density on A inside {0,1}^2n and gM its edge-parity
@@ -250,8 +227,8 @@ def check_lift_identity(
     elements = list(A)
     if not elements:
         raise ValueError("A must be nonempty")
-    if matching.size > max_dim:
-        raise BudgetExceeded(f"lift check at 2n={matching.size} exceeds cap {max_dim}")
+    if matching.size > _LIFT_MAX_DIM:
+        raise BudgetExceeded(f"lift check at 2n={matching.size} exceeds cap {_LIFT_MAX_DIM}")
     n = matching.n
     g = np.zeros(1 << matching.size)
     for x in elements:
@@ -260,7 +237,7 @@ def check_lift_identity(
                 f"set element of length {x.length} for a matching on {matching.size}"
             )
         g[x.to_index()] = 1.0 / len(elements)
-    g_hat = transform(CubeFunction(m=matching.size, values=g), max_dim=max_dim)
+    g_hat = transform(CubeFunction(m=matching.size, values=g), max_dim=_LIFT_MAX_DIM)
     gm_hat = transform(gM_from_set(elements, matching))
     lifted = lift_index_table(matching)
     gaps = np.abs(g_hat.coefficients[lifted] - gm_hat.coefficients / (1 << n))

@@ -102,6 +102,7 @@ def _uniform_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _biased_bits(b: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent bits, each equal to b with probability 3/4."""
     flips = rng.random(n) >= float(NOISE_BIAS)
     return np.where(flips, 1 - b, b).astype(np.uint8)
 
@@ -198,31 +199,12 @@ def sample_matching(n: int, rng: np.random.Generator) -> PerfectMatching:
     return PerfectMatching(_uniform_pairs(n, rng) + 1)
 
 
-def sample_biased(b: int, n: int, rng: np.random.Generator) -> BitString:
-    """n independent bits, each equal to b with probability 3/4."""
-    if b not in (0, 1):
-        raise ValueError(f"b must be 0 or 1, got {b!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    return BitString(_biased_bits(b, n, rng))
-
-
 def density_mu(b: int, y: BitString) -> Fraction:
     """Exact probability of y under the product of 3/4-biased bits toward b."""
     if b not in (0, 1):
         raise ValueError(f"b must be 0 or 1, got {b!r}")
     agree = int(np.count_nonzero(y.bits == b))
     return NOISE_BIAS**agree * (1 - NOISE_BIAS) ** (y.length - agree)
-
-
-def sample_w(
-    x: BitString, matching: PerfectMatching, b: int, rng: np.random.Generator
-) -> BitString:
-    """Observations w_i = (edge parity i) xor e_i with e ~ biased noise toward b."""
-    if b not in (0, 1):
-        raise ValueError(f"b must be 0 or 1, got {b!r}")
-    parities = apply_matching(matching, x)
-    return BitString(parities.bits ^ _biased_bits(b, matching.n, rng))
 
 
 def sample_T(n: int, rng: np.random.Generator) -> BhmInstance:

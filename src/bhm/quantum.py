@@ -62,20 +62,6 @@ class MeasurementOutcome:
         return 0 if self.sign > 0 else 1
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    """Outcome record of one protocol run."""
-
-    guess: int
-    truth: int | None
-    shots: int
-    qubit_cost: int
-
-    @property
-    def correct(self) -> bool | None:
-        return None if self.truth is None else self.guess == self.truth
-
-
 def message_qubits(n: int) -> int:
     """Qubits per message: ceil(log2(2n))."""
     if n < 1:
@@ -164,16 +150,14 @@ def run_single(
     return outcome.parity() ^ inst.w.bit(outcome.edge_index)
 
 
-def run_repeated(inst: BhmInstance, r: int, rng: np.random.Generator) -> TrialReport:
-    """Majority vote over r independent runs, each with a fresh message state."""
+def run_repeated(inst: BhmInstance, r: int, rng: np.random.Generator) -> int:
+    """Bob's majority guess over r independent runs, each with a fresh message state.
+
+    The r messages cost ``r * message_qubits(inst.n)`` qubits in all.
+    """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"repetitions must be odd and positive, got {r}")
-    return TrialReport(
-        guess=majority_vote(_disagreement_bits(inst), r, rng),
-        truth=inst.source,
-        shots=r,
-        qubit_cost=r * message_qubits(inst.n),
-    )
+    return majority_vote(_disagreement_bits(inst), r, rng)
 
 
 def majority_vote(disagree: np.ndarray, r: int, rng: np.random.Generator) -> int:

@@ -40,11 +40,14 @@ class CheckResult:
 # core identities
 
 
-def check_core_identities(seed: int, max_points: int = 8) -> CheckResult:
-    """Edge-parity product vs explicit GF(2) matrix, adjointness, lift weight."""
+def check_core_identities(seed: int) -> CheckResult:
+    """Edge-parity product vs explicit GF(2) matrix, adjointness, lift weight.
+
+    Exhaustive over every x and s at 2n <= 8 points, then random at n = 16.
+    """
     failures = 0
     cases = 0
-    for n in range(1, max_points // 2 + 1):
+    for n in range(1, 5):
         xs = [BitString.from_index(2 * n, i) for i in range(1 << (2 * n))]
         x_rows = np.array([x.bits for x in xs])
         for pairs in combinatorics.enumerate_matchings(2 * n):
@@ -100,16 +103,16 @@ def _random_pair(
     return _random_table(m, rng), _random_table(m, rng)
 
 
-def check_parseval(m: int, cases: int, seed: int, tol: float = 1e-9) -> CheckResult:
+def check_parseval(m: int, cases: int, seed: int) -> CheckResult:
     worst = 0.0
     for case in range(cases):
         for h in _random_pair(m, seed, case):
             lhs, rhs, gap = fourier.check_parseval(h)
             worst = max(worst, gap / max(1.0, abs(lhs), abs(rhs)))
-    return CheckResult("parseval", worst <= tol, max_gap=worst)
+    return CheckResult("parseval", worst <= 1e-9, max_gap=worst)
 
 
-def check_convolution(m: int, cases: int, seed: int, tol: float = 1e-9) -> CheckResult:
+def check_convolution(m: int, cases: int, seed: int) -> CheckResult:
     """Direct XOR convolution against the spectral route."""
     worst = 0.0
     for case in range(cases):
@@ -118,7 +121,7 @@ def check_convolution(m: int, cases: int, seed: int, tol: float = 1e-9) -> Check
         spectral = fourier.convolve_spectral(f, g)
         scale = max(1.0, float(np.max(np.abs(direct.values))))
         worst = max(worst, float(np.max(np.abs(direct.values - spectral.values))) / scale)
-    return CheckResult("convolution_theorem", worst <= tol, max_gap=worst)
+    return CheckResult("convolution_theorem", worst <= 1e-9, max_gap=worst)
 
 
 def check_l1_l2(m: int, cases: int, seed: int) -> CheckResult:
@@ -152,20 +155,20 @@ def check_kkl(max_m: int, cases: int, seed: int) -> CheckResult:
     )
 
 
-def check_closed_form_spectrum(max_n: int = 12) -> CheckResult:
+def check_closed_form_spectrum() -> CheckResult:
     worst = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, 13):
         spectrum = fourier.transform(fourier.mu_difference(n))
         gap = np.max(np.abs(spectrum.coefficients - fourier.closed_form_spectrum_table(n)))
         worst = max(worst, float(gap))
     return CheckResult("closed_form_spectrum", worst <= 1e-12, max_gap=worst)
 
 
-def check_lift_identity(cases: int, seed: int, max_points: int = 12) -> CheckResult:
+def check_lift_identity(cases: int, seed: int) -> CheckResult:
     worst = 0.0
     for case in range(cases):
         rng = substream(seed, 6, case)
-        n = int(rng.integers(2, max_points // 2 + 1))
+        n = int(rng.integers(2, 7))  # 2n <= 12 points
         matching = instances.sample_matching(n, rng)
         size = 1 << (2 * n)
         count = int(rng.integers(1, size + 1))
@@ -179,11 +182,11 @@ def check_lift_identity(cases: int, seed: int, max_points: int = 12) -> CheckRes
 # quantum protocol
 
 
-def check_measurement_probabilities(seed: int, ns: tuple[int, ...] = (2, 4, 8)) -> CheckResult:
+def check_measurement_probabilities(seed: int) -> CheckResult:
     """Outcome probabilities sum to 1 and vanish on the wrong-parity sign."""
     worst = 0.0
     ok = True
-    for i, n in enumerate(ns):
+    for i, n in enumerate((2, 4, 8)):
         rng = substream(seed, 7, i)
         for case in range(20):
             x = BitString(rng.integers(0, 2, size=2 * n))
@@ -197,12 +200,10 @@ def check_measurement_probabilities(seed: int, ns: tuple[int, ...] = (2, 4, 8)) 
     return CheckResult("measurement_probabilities", ok and worst <= 1e-12, max_gap=worst)
 
 
-def check_projector_vs_analytic(
-    seed: int, ns: tuple[int, ...] = (2, 4, 8), shots: int = 100_000
-) -> CheckResult:
+def check_projector_vs_analytic(seed: int, shots: int = 100_000) -> CheckResult:
     """Both measurement paths match the exact outcome distribution per cell."""
     worst_z = 0.0
-    for i, n in enumerate(ns):
+    for i, n in enumerate((2, 4, 8)):
         rng = substream(seed, 8, i)
         x = BitString(rng.integers(0, 2, size=2 * n))
         matching = instances.sample_matching(n, rng)
@@ -261,7 +262,7 @@ def check_amplification(
         previous = exact
         rng = substream(seed, 10, i)
         hits = sum(
-            quantum.run_repeated(inst, r, rng).guess == inst.source for _ in range(trials)
+            quantum.run_repeated(inst, r, rng) == inst.source for _ in range(trials)
         )
         p = float(exact)
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -275,26 +276,24 @@ def check_amplification(
 # combinatorics
 
 
-def check_matching_counts(max_t: int = 10) -> CheckResult:
+def check_matching_counts() -> CheckResult:
     ok = all(
         combinatorics.count_matchings(t) == len(combinatorics.enumerate_matchings(t))
-        for t in range(2, max_t + 1, 2)
+        for t in range(2, 11, 2)
     )
     return CheckResult("matching_counts", ok)
 
 
-def check_gamma(
-    seed: int,
-    grid: tuple[int, ...] = (4, 8, 16),
-    max_k: int = 8,
-    mc_trials: int = 20_000,
-) -> CheckResult:
-    """Exact value vs bound, MC agreement, support independence, root bound."""
+def check_gamma(seed: int, mc_trials: int = 20_000) -> CheckResult:
+    """Exact value vs bound, MC agreement, support independence, root bound.
+
+    The grid is n in (4, 8, 16) with even support weights k <= 8.
+    """
     worst_z = 0.0
     ok = True
     case = 0
-    for n in grid:
-        for k in range(2, min(max_k, 2 * n) + 1, 2):
+    for n in (4, 8, 16):
+        for k in range(2, 9, 2):
             gamma = combinatorics.gamma_exact(n, k)
             bound = Fraction(k, 2 * n) ** (k // 2)
             ok &= gamma <= bound
@@ -325,9 +324,9 @@ def check_gamma(
 # instances
 
 
-def check_density_normalization(max_n: int = 10) -> CheckResult:
+def check_density_normalization() -> CheckResult:
     ok = True
-    for n in range(1, max_n + 1):
+    for n in range(1, 11):
         for b in (0, 1):
             total = sum(
                 instances.density_mu(b, BitString.from_index(n, i)) for i in range(1 << n)
@@ -336,13 +335,11 @@ def check_density_normalization(max_n: int = 10) -> CheckResult:
     return CheckResult("density_normalization", ok)
 
 
-def check_promise_rates(
-    seed: int, ns: tuple[int, ...] = (50, 100), trials: int = 10_000
-) -> CheckResult:
-    """Empirical outside-rate against the exact binomial tail; decreasing in n."""
+def check_promise_rates(seed: int, trials: int = 10_000) -> CheckResult:
+    """Empirical outside-rate against the exact binomial tail at n = 50, 100; decreasing in n."""
     worst_z = 0.0
     rates = []
-    for i, n in enumerate(ns):
+    for i, n in enumerate((50, 100)):
         exact = float(instances.promise_outside_probability(n))
         outside = 0
         for t in range(trials):
@@ -366,11 +363,9 @@ def check_promise_rates(
 # classical protocols
 
 
-def check_subset_oracle(
-    seed: int, n: int = 32, subset_size: int = 12, trials: int = 20_000
-) -> CheckResult:
-    """Per-known-edge-count success against the exact vote oracle."""
-    ks, correct = classical.subset_trial_outcomes(n, subset_size, trials, seed)
+def check_subset_oracle(seed: int, trials: int = 20_000) -> CheckResult:
+    """Per-known-edge-count success against the exact vote oracle, at n = 32, c = 12."""
+    ks, correct = classical.subset_trial_outcomes(32, 12, trials, seed)
     worst_z = 0.0
     for k in np.unique(ks):
         sel = ks == k

@@ -44,6 +44,15 @@ def binomial_tail_at_least(r: int, k: int, p: Fraction) -> Fraction:
     return sum(math.comb(r, j) * p**j * q ** (r - j) for j in range(k, r + 1))
 
 
+def expected_internal_edges(n: int, c: int) -> Fraction:
+    """Mean number of matching edges inside a fixed c-subset of {1..2n}.
+
+    Each of the c(c-1)/2 pairs of subset points is an edge of a uniform
+    matching with probability 1/(2n-1).
+    """
+    return Fraction(c * (c - 1), 2 * (2 * n - 1))
+
+
 def chi_square_statistic(counts: np.ndarray, expected: np.ndarray) -> float:
     return float(np.sum((counts - expected) ** 2 / expected))
 

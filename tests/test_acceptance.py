@@ -116,7 +116,7 @@ def test_criterion_02_amplification():
         rng_b = substream(SEED_AMPLIFY, 999, t)
         guesses = disagree[rng_a.integers(0, 3, size=7)]
         expected_guess = 1 if 2 * int(guesses.sum()) > 7 else 0
-        assert run_repeated(inst, 7, rng_b).guess == expected_guess
+        assert run_repeated(inst, 7, rng_b) == expected_guess
     report(
         "2 (amplification)",
         f"r in 1..45 odd at p=2/3, MC 1e5/r vs exact tail, worst |z|={worst_z:.2f}, "

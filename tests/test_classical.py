@@ -16,7 +16,6 @@ from bhm.classical import (
     alice_parity,
     bayes_success,
     bruteforce_optimal,
-    expected_internal_edges,
     known_edge_success,
     run_subset_trials,
     subset_mixture_success,
@@ -26,7 +25,14 @@ from bhm.core import BitString
 from bhm.errors import BudgetExceeded
 from bhm.seeding import substream
 
-from helpers import MC_Z_BOUND, bayes_oracle, mixture_average, mixture_cells, z_score
+from helpers import (
+    MC_Z_BOUND,
+    bayes_oracle,
+    expected_internal_edges,
+    mixture_average,
+    mixture_cells,
+    z_score,
+)
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "bruteforce_n2_c1.json").read_text())
 FROZEN_OPTIMUM = Fraction(FIXTURE["optimal_success"])
@@ -45,12 +51,12 @@ def test_subset_exact_chain_values_and_monotonicity():
 
 
 def test_expected_internal_edges():
-    assert expected_internal_edges(2, 2) == Fraction(1, 3)
-    assert expected_internal_edges(10, 0) == 0
-    assert expected_internal_edges(10, 1) == 0
-    assert expected_internal_edges(10, 20) == 10
+    # hand-checked means of the known-edge law
+    for n, c, mean in [(2, 2, Fraction(1, 3)), (10, 0, 0), (10, 1, 0), (10, 20, 10)]:
+        assert expected_internal_edges(n, c) == mean
+        assert sum(k * p for k, p in enumerate(_known_edge_law(n, c))) == mean
     with pytest.raises(ValueError):
-        expected_internal_edges(4, 9)
+        _known_edge_law(4, 9)
     # Monte-Carlo mean of the internal-edge count against the formula
     n, c, trials = 16, 8, 20_000
     ks, _ = subset_trial_outcomes(n, c, trials, seed=602)
@@ -257,7 +263,7 @@ def test_bayes_success_refinement_dominates():
     rng = substream(609, 0)
     coarse = rng.integers(0, 2, size=16)
     fine = coarse * 2 + rng.integers(0, 2, size=16)
-    assert bayes_success(fine, n, 2, budget=200_000) >= bayes_success(coarse, n, 1)
+    assert bayes_success(fine, n, 2) >= bayes_success(coarse, n, 1)
 
 
 def test_bayes_success_validation_and_budget():
@@ -267,6 +273,11 @@ def test_bayes_success_validation_and_budget():
         bayes_success(np.zeros(8, dtype=int), 2, 0)
     with pytest.raises(ValueError):
         bayes_success(np.full(16, 2), 2, 1)
+    with pytest.raises(ValueError, match="c must be nonnegative, got -1"):
+        bayes_success(np.zeros(16, dtype=int), 2, -1)
+    # a fractional map is refused, not truncated to the constant map
+    with pytest.raises(ValueError, match="must be integers"):
+        bayes_success([0.5] * 16, 2, 1)
 
 
 def test_bruteforce_optimal_matches_fixture():

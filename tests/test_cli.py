@@ -7,7 +7,7 @@ import pytest
 
 from bhm import classical, cli, fourier, quantum, verify
 from bhm.instances import BhmInstance, sample_T
-from bhm.quantum import run_repeated
+from bhm.quantum import message_qubits, run_repeated
 from bhm.seeding import substream
 
 from helpers import MC_Z_BOUND, z_score
@@ -71,11 +71,11 @@ def test_quantum_run_csv_schema_and_reproducibility(tmp_path):
     row = dict(zip(lines[0].split(","), lines[3].split(",")))
     rng = substream(21, int(row["trial"]))
     inst = sample_T(8, rng)
-    report = run_repeated(inst, 3, rng)
+    guess = run_repeated(inst, 3, rng)
     assert int(row["d"]) == inst.disagreements()
     assert int(row["source"]) == inst.source
-    assert int(row["guess"]) == report.guess
-    assert int(row["qubit_cost"]) == report.qubit_cost
+    assert int(row["guess"]) == guess
+    assert int(row["qubit_cost"]) == 3 * message_qubits(8)
 
 
 def test_quantum_run_json_format(tmp_path):

@@ -14,7 +14,6 @@ from bhm.fourier import (
     closed_form_spectrum_table,
     convolve,
     convolve_spectral,
-    f_spectrum_closed_form,
     gM_from_set,
     inverse_transform,
     lift_index_table,
@@ -38,10 +37,9 @@ def test_cube_function_validation():
     with pytest.raises(ValueError):
         CubeFunction(m=2, values=np.zeros(3))
     with pytest.raises(ValueError):
-        CubeFunction.from_values(np.array([1.0, np.inf]))
-    f = CubeFunction.from_values([1.0, 2.0, 3.0, 4.0])
-    assert f.m == 2
-    assert f.value_at(BitString.from_text("10")) == 2.0  # position 1 is the low bit
+        CubeFunction(m=1, values=np.array([1.0, np.inf]))
+    f = CubeFunction(m=2, values=[1.0, 2.0, 3.0, 4.0])
+    assert f.values[BitString.from_text("10").to_index()] == 2.0  # position 1 is the low bit
     with pytest.raises(ValueError):
         f.values[0] = 0.0  # tables are frozen
 
@@ -90,10 +88,13 @@ def test_transform_cap():
 def test_convolution_identity_and_point_masses():
     rng = substream(403, 0)
     f = random_table(5, rng)
-    delta = CubeFunction.point_mass(5, 0)
+    origin = np.zeros(32)
+    origin[0] = 1.0
+    delta = CubeFunction(m=5, values=origin)
     assert np.max(np.abs(convolve(f, delta).values - f.values)) <= 1e-12
-    t = BitString.from_text("01011")
-    mass = CubeFunction.point_mass(5, t)
+    at_t = np.zeros(32)
+    at_t[BitString.from_text("01011").to_index()] = 1.0
+    mass = CubeFunction(m=5, values=at_t)
     self_conv = convolve(mass, mass)
     expected = np.zeros(32)
     expected[0] = 1.0
@@ -151,7 +152,7 @@ def test_parseval_random():
 
 def test_l1_l2_relation():
     assert check_l1_l2(CubeFunction(m=3, values=np.ones(8)))
-    assert check_l1_l2(CubeFunction.point_mass(3, 0, value=2.0))
+    assert check_l1_l2(CubeFunction(m=3, values=[2.0] + [0.0] * 7))
     rng = substream(407, 0)
     assert all(check_l1_l2(random_table(8, rng)) for _ in range(100))
     # equality is tight for constants: lhs == rhs exactly
@@ -186,12 +187,11 @@ def test_kkl_validation():
 
 
 def test_closed_form_spectrum_values():
-    assert f_spectrum_closed_form(1, BitString.from_text("1")) == 0.5
-    assert f_spectrum_closed_form(3, BitString.from_text("000")) == 0.0
-    assert f_spectrum_closed_form(3, BitString.from_text("110")) == 0.0
-    assert f_spectrum_closed_form(3, BitString.from_text("111")) == 2.0 / 2**6
-    with pytest.raises(DimensionMismatch):
-        f_spectrum_closed_form(2, BitString.from_text("111"))
+    assert closed_form_spectrum_table(1)[BitString.from_text("1").to_index()] == 0.5
+    table = closed_form_spectrum_table(3)
+    assert table[BitString.from_text("000").to_index()] == 0.0
+    assert table[BitString.from_text("110").to_index()] == 0.0
+    assert table[BitString.from_text("111").to_index()] == 2.0 / 2**6
 
 
 @pytest.mark.parametrize("n", list(range(1, 13)))
@@ -199,9 +199,9 @@ def test_closed_form_matches_transform(n):
     spectrum = transform(mu_difference(n))
     table = closed_form_spectrum_table(n)
     assert np.max(np.abs(spectrum.coefficients - table)) <= 1e-12
-    for idx in (0, (1 << n) - 1):
-        s = BitString.from_index(n, idx)
-        assert table[idx] == f_spectrum_closed_form(n, s)
+    # weight 0 is even; the all-ones character has weight n
+    assert table[0] == 0.0
+    assert table[-1] == (2.0 / 2 ** (2 * n) if n % 2 else 0.0)
 
 
 def test_mu_difference_matches_exact_densities():

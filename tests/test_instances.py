@@ -7,23 +7,22 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from bhm.core import BitString, PerfectMatching
+from bhm.core import BitString, PerfectMatching, apply_matching
 from bhm.errors import DimensionMismatch
 from bhm.instances import (
     NOISE_BIAS,
     BhmInstance,
     PromiseClass,
+    _biased_bits,
     _count_law,
     _sample_source_and_count,
     classify_promise,
     density_mu,
     pinned_instance,
     promise_outside_probability,
-    sample_biased,
     sample_matching,
     sample_promise_instance,
     sample_T,
-    sample_w,
 )
 from bhm.seeding import substream
 
@@ -47,16 +46,16 @@ def test_density_normalizes_exactly(n):
 def test_sample_biased_statistics():
     rng = substream(301, 0)
     trials = 20_000
-    zeros = sum(sample_biased(0, 1, rng).bits[0] == 0 for _ in range(trials))
+    zeros = sum(_biased_bits(0, 1, rng)[0] == 0 for _ in range(trials))
     sigma = math.sqrt(0.75 * 0.25 / trials)
     assert abs(zeros / trials - 0.75) <= 3 * sigma
 
-    both_ones = sum(sample_biased(1, 2, rng).to_text() == "11" for _ in range(trials))
+    both_ones = sum(_biased_bits(1, 2, rng).tolist() == [1, 1] for _ in range(trials))
     p = 9 / 16
     assert abs(both_ones / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
-    long_draw = sample_biased(0, 10_000, rng)
-    ones = long_draw.hamming_weight() / 10_000
+    long_draw = _biased_bits(0, 10_000, rng)
+    ones = np.count_nonzero(long_draw) / 10_000
     assert abs(ones - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 10_000)
 
 
@@ -92,19 +91,18 @@ def test_sample_w_agreement_probabilities():
     x = BitString(rng.integers(0, 2, size=2 * n))
     matching = sample_matching(n, rng)
     trials = 5_000
-    from bhm.core import apply_matching, hamming_distance
+    parities = apply_matching(matching, x).bits
 
-    parities = apply_matching(matching, x)
-    distances = [
-        hamming_distance(parities, sample_w(x, matching, 0, rng)) for _ in range(trials)
-    ]
+    def disagreements(b):
+        w = parities ^ _biased_bits(b, n, rng)  # w as the mixture sampler builds it
+        return int(np.count_nonzero(w != parities))
+
+    distances = [disagreements(0) for _ in range(trials)]
     mean = float(np.mean(distances))
     sigma_mean = math.sqrt(n * 0.25 * 0.75 / trials)
     assert abs(mean - n * 0.25) <= 3 * sigma_mean
     # complement side: w from source 1 disagrees with 3/4 of the parities
-    distances1 = [
-        hamming_distance(parities, sample_w(x, matching, 1, rng)) for _ in range(trials)
-    ]
+    distances1 = [disagreements(1) for _ in range(trials)]
     assert abs(float(np.mean(distances1)) - n * 0.75) <= 3 * sigma_mean
 
 
@@ -113,12 +111,11 @@ def test_sample_w_distribution_is_binomial():
     n, trials = 20, 20_000
     x = BitString(rng.integers(0, 2, size=2 * n))
     matching = sample_matching(n, rng)
-    from bhm.core import apply_matching, hamming_distance
-
-    parities = apply_matching(matching, x)
+    parities = apply_matching(matching, x).bits
     counts = np.zeros(n + 1)
     for _ in range(trials):
-        counts[hamming_distance(parities, sample_w(x, matching, 0, rng))] += 1
+        w = parities ^ _biased_bits(0, n, rng)  # w as the mixture sampler builds it
+        counts[np.count_nonzero(w != parities)] += 1
     pmf = np.array([float(math.comb(n, d)) * 0.25**d * 0.75 ** (n - d) for d in range(n + 1)])
     # pool the sparse upper tail so the chi-square approximation is valid
     cut = 12
@@ -250,16 +247,7 @@ def test_promise_outside_probability_decreases():
 def test_sampler_validation():
     rng = substream(311, 0)
     with pytest.raises(ValueError):
-        sample_biased(2, 4, rng)
-    with pytest.raises(ValueError):
-        sample_biased(0, 0, rng)
-    with pytest.raises(ValueError):
         sample_T(0, rng)
-    x = BitString.from_text("0110")
-    with pytest.raises(ValueError):
-        sample_w(x, PerfectMatching(((1, 2), (3, 4))), 3, rng)
-    with pytest.raises(DimensionMismatch):
-        sample_w(BitString.from_text("01"), PerfectMatching(((1, 2), (3, 4))), 0, rng)
 
 
 @st.composite
