@@ -229,17 +229,10 @@ def run_subset_trials(
 ) -> SuccessReport:
     """Monte-Carlo success report for the subset protocol with c known positions."""
     _, correct = subset_trial_outcomes(n, c, trials, seed, restrict_promise)
-    hits = int(np.count_nonzero(correct))
-    return _monte_carlo_report(f"subset-{c}", c, hits, trials)
-
-
-def _monte_carlo_report(
-    protocol: str, message_bits: int, hits: int, trials: int
-) -> SuccessReport:
-    p_hat = hits / trials
+    p_hat = int(np.count_nonzero(correct)) / trials
     return SuccessReport(
-        protocol=protocol,
-        message_bits=message_bits,
+        protocol=f"subset-{c}",
+        message_bits=c,
         method="monte_carlo",
         success_prob=p_hat,
         trials=trials,
@@ -317,6 +310,8 @@ def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction
     (message, matching, w); the sum of winning masses is computed in
     integer arithmetic and returned as an exact rational.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if c < 0:
         raise ValueError(f"message bits c must be nonnegative, got {c}")
     alice_map = np.asarray(alice)

@@ -79,8 +79,7 @@ def run_separation_sweep(
     """
     if not ns or any(v < 1 for v in ns) or list(ns) != sorted(set(ns)):
         raise ValueError("grid must be a strictly increasing list of positive n")
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError("reps must be odd and positive")
+    _check_reps(reps)
     if trials < 1:
         raise ValueError("trials must be positive")
     # the grid is increasing, so its first point bounds the subset for every point
@@ -114,6 +113,11 @@ def run_separation_sweep(
     return rows
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1 or reps % 2 == 0:
+        raise ValueError(f"--reps must be odd and positive, got {reps}")
+
+
 def _stage_seed(seed: int, stage: int) -> int:
     # distinct 64-bit stage seeds so nested runners keep per-trial substreams
     return (seed * 1_000_003 + stage + 1) % (1 << 63)
@@ -140,6 +144,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_quantum_run(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    _check_reps(args.reps)
     rows = []
     for t in range(args.trials):
         rng = substream(args.seed, t)

@@ -25,7 +25,7 @@ from .core import BitString, PerfectMatching
 from .errors import BudgetExceeded, DimensionMismatch
 from .instances import NOISE_BIAS
 
-#: Largest cube dimension for which 2^m tables are built by default.
+#: Largest cube dimension for which 2^m tables are built.
 DEFAULT_MAX_DIM = 20
 
 #: Largest cube dimension for the direct O(4^m) convolution oracle.
@@ -94,10 +94,10 @@ def _popcounts(size: int) -> np.ndarray:
     return np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
 
 
-def transform(f: CubeFunction, max_dim: int = DEFAULT_MAX_DIM) -> FourierSpectrum:
+def transform(f: CubeFunction) -> FourierSpectrum:
     """Fourier coefficients of f under the 2^-m normalization."""
-    if f.m > max_dim:
-        raise BudgetExceeded(f"transform at m={f.m} exceeds cap {max_dim}")
+    if f.m > DEFAULT_MAX_DIM:
+        raise BudgetExceeded(f"transform at m={f.m} exceeds cap {DEFAULT_MAX_DIM}")
     return FourierSpectrum(m=f.m, coefficients=_fwht(f.values) / (1 << f.m))
 
 
@@ -237,7 +237,7 @@ def check_lift_identity(A: Iterable[BitString], matching: PerfectMatching) -> fl
                 f"set element of length {x.length} for a matching on {matching.size}"
             )
         g[x.to_index()] = 1.0 / len(elements)
-    g_hat = transform(CubeFunction(m=matching.size, values=g), max_dim=_LIFT_MAX_DIM)
+    g_hat = transform(CubeFunction(m=matching.size, values=g))
     gm_hat = transform(gM_from_set(elements, matching))
     lifted = lift_index_table(matching)
     gaps = np.abs(g_hat.coefficients[lifted] - gm_hat.coefficients / (1 << n))

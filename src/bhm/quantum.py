@@ -8,10 +8,11 @@ together with its exact parity, and Bob answers parity xor w for that
 edge.  Amplitudes stay real throughout: the protocol never creates a
 complex phase.
 
-Measurement is implemented twice: the analytic shortcut (uniform edge,
-sign forced by the parity) that runners use, and a generic projector
-path that samples from the squared inner products of the explicit basis,
-kept as the oracle that tests and ``verify`` hold it against.
+Measurement has one route: :func:`measure_matching_basis` samples from
+the squared inner products of the explicit basis.  It is the oracle that
+tests and ``verify`` hold the batched runners (:func:`majority_vote`,
+:func:`majority_vote_count`, :func:`empirical_success`) against; those
+draw the uniform edge directly and never build the basis.
 """
 
 from __future__ import annotations
@@ -48,18 +49,6 @@ class MessageState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Measured edge (1-based) and the sign of the observed basis vector."""
-
-    edge_index: int
-    sign: int
-
-    def parity(self) -> int:
-        """Edge parity revealed with certainty: 0 for +, 1 for -."""
-        return 0 if self.sign > 0 else 1
 
 
 def message_qubits(n: int) -> int:
@@ -100,54 +89,35 @@ def outcome_probabilities(state: MessageState, matching: PerfectMatching) -> np.
     return overlaps**2
 
 
-def _edge_parity(state: MessageState, matching: PerfectMatching, i: int) -> int:
-    k, l = matching.pairs_array()[i].tolist()
-    return 0 if state.amplitudes[k] * state.amplitudes[l] > 0 else 1
-
-
 def measure_matching_basis(
-    state: MessageState,
-    matching: PerfectMatching,
-    rng: np.random.Generator,
-    method: str = "analytic",
-) -> MeasurementOutcome:
-    """Sample one measurement outcome.
+    state: MessageState, matching: PerfectMatching, rng: np.random.Generator, shots: int
+) -> np.ndarray:
+    """Sample ``shots`` independent outcomes, in one batch.
 
-    ``analytic`` draws a uniform edge and sets the sign from the parity;
-    ``projector`` samples from the squared inner products of the explicit
-    basis and is the oracle route.  Either way the sign is checked against
-    the true parity: the protocol's whole point is that it never disagrees.
+    Outcome k is row k of :func:`matching_basis`: edge k // 2 observed with
+    parity k % 2.  Every outcome is checked against the true parity of its
+    edge: the protocol's whole point is that it never disagrees.
     """
-    if state.dim != matching.size:
-        raise DimensionMismatch(
-            f"state dimension {state.dim} vs matching on {matching.size} points"
-        )
-    if method == "projector":
-        probs = outcome_probabilities(state, matching)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"outcome probabilities sum to {total!r}")
-        idx = int(rng.choice(probs.size, p=probs / total))
-        edge, sign = divmod(idx, 2)
-        outcome = MeasurementOutcome(edge_index=edge + 1, sign=1 if sign == 0 else -1)
-    elif method == "analytic":
-        edge = int(rng.integers(matching.n))
-        parity = _edge_parity(state, matching, edge)
-        outcome = MeasurementOutcome(edge_index=edge + 1, sign=1 if parity == 0 else -1)
-    else:
-        raise ValueError(f"unknown measurement method {method!r}")
-    if outcome.parity() != _edge_parity(state, matching, outcome.edge_index - 1):
-        raise RuntimeError(f"sign contradicts the parity of edge {outcome.edge_index}")
-    return outcome
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+    probs = outcome_probabilities(state, matching)
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"outcome probabilities sum to {total!r}")
+    outcomes = rng.choice(probs.size, p=probs / total, size=shots)
+    k, l = matching.pairs_array()[outcomes // 2].T
+    wrong = np.flatnonzero((state.amplitudes[k] * state.amplitudes[l] < 0) != outcomes % 2)
+    if wrong.size:
+        edge = int(outcomes[wrong[0]]) // 2 + 1
+        raise RuntimeError(f"sign contradicts the parity of edge {edge}")
+    return outcomes
 
 
-def run_single(
-    inst: BhmInstance, rng: np.random.Generator, method: str = "analytic"
-) -> int:
+def run_single(inst: BhmInstance, rng: np.random.Generator) -> int:
     """One protocol execution; returns Bob's guess (edge parity xor w)."""
-    state = prepare_state(inst.x)
-    outcome = measure_matching_basis(state, inst.matching, rng, method=method)
-    return outcome.parity() ^ inst.w.bit(outcome.edge_index)
+    outcomes = measure_matching_basis(prepare_state(inst.x), inst.matching, rng, 1)
+    edge, parity = divmod(int(outcomes[0]), 2)
+    return parity ^ inst.w.bit(edge + 1)
 
 
 def run_repeated(inst: BhmInstance, r: int, rng: np.random.Generator) -> int:
@@ -164,7 +134,7 @@ def majority_vote(disagree: np.ndarray, r: int, rng: np.random.Generator) -> int
     """Bob's r-shot majority guess for odd r, given disagree = edge parities xor w.
 
     One batched draw of r uniform edges: the per-shot distribution of r
-    analytic :func:`run_single` calls.
+    :func:`run_single` calls.
     """
     ones = int(disagree[rng.integers(0, disagree.size, size=r)].sum())
     return 1 if 2 * ones > r else 0

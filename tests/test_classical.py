@@ -275,6 +275,11 @@ def test_bayes_success_validation_and_budget():
         bayes_success(np.full(16, 2), 2, 1)
     with pytest.raises(ValueError, match="c must be nonnegative, got -1"):
         bayes_success(np.zeros(16, dtype=int), 2, -1)
+    # n is checked before any shift or table is built
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        bayes_success(np.zeros(1, dtype=int), 0, 0)
+    with pytest.raises(ValueError, match="n must be positive, got -1"):
+        bayes_success(np.zeros(1, dtype=int), -1, 0)
     # a fractional map is refused, not truncated to the constant map
     with pytest.raises(ValueError, match="must be integers"):
         bayes_success([0.5] * 16, 2, 1)

@@ -94,7 +94,7 @@ def test_quantum_run_json_format(tmp_path):
 def test_quantum_run_rejects_even_reps(capsys):
     code = run_cli(["quantum-run", "--n", "4", "--trials", "2", "--reps", "2", "--seed", "1"])
     assert code == cli.EXIT_CONFIG
-    capsys.readouterr()
+    assert "--reps must be odd and positive, got 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["-2", "0"])
@@ -342,9 +342,10 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     assert len(lines) == 3
     assert run_cli(["sweep", "--ns", "8,4", "--trials", "10", "--subset-size", "2",
                     "--seed", "1"]) == cli.EXIT_CONFIG
+    capsys.readouterr()
     assert run_cli(["sweep", "--ns", "4", "--trials", "10", "--reps", "2",
                     "--subset-size", "2", "--seed", "1"]) == cli.EXIT_CONFIG
-    capsys.readouterr()
+    assert "--reps must be odd and positive, got 2" in capsys.readouterr().err
 
 
 def test_sweep_rejects_negative_subset_size(tmp_path, capsys):
@@ -426,7 +427,8 @@ def test_sweep_columns_match_exact_mixture_success(tmp_path):
 #: sha256 of each output at fixed seeds.  gen and quantum-run were recorded
 #: before the refactor that gave each shared rule one definition; sweep and
 #: classical-run were re-pinned when their trials started drawing only
-#: (b, d, K).
+#: (b, d, K).  verify-all was recorded before the measurement checks were
+#: batched, so it pins every stream of the suite draw for draw.
 GOLDEN_DIGESTS = {
     "sweep": (
         ["sweep", "--ns", "4,8,16", "--trials", "300", "--reps", "3",
@@ -445,6 +447,10 @@ GOLDEN_DIGESTS = {
     "gen": (
         ["gen", "--n", "6", "--count", "20", "--seed", "17"],
         "b14708dbf536da0487d3720aea621493e77d5a1c932c0b383f0508eaaee4e7b1",
+    ),
+    "verify-all": (
+        ["verify-all", "--m", "5", "--cases", "5", "--trials", "2000", "--seed", "3"],
+        "4f93b84583a3a4904fb52058f9fa5cea1b6af329d38ec1f1610cf563a7157b9c",
     ),
 }
 

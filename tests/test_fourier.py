@@ -6,6 +6,7 @@ import pytest
 from bhm.core import BitString, PerfectMatching, apply_matching
 from bhm.errors import BudgetExceeded, DimensionMismatch
 from bhm.fourier import (
+    DEFAULT_MAX_DIM,
     CubeFunction,
     check_kkl,
     check_l1_l2,
@@ -80,9 +81,10 @@ def test_transform_linearity_and_inverse():
 
 
 def test_transform_cap():
-    f = CubeFunction(m=3, values=np.ones(8))
-    with pytest.raises(BudgetExceeded):
-        transform(f, max_dim=2)
+    m = DEFAULT_MAX_DIM + 1
+    f = CubeFunction(m=m, values=np.ones(1 << m))
+    with pytest.raises(BudgetExceeded, match=f"transform at m={m} exceeds cap"):
+        transform(f)
 
 
 def test_convolution_identity_and_point_masses():

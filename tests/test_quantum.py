@@ -90,36 +90,34 @@ def test_outcome_probabilities_random_larger():
         assert np.allclose(live, 1.0 / n, atol=1e-12)
 
 
-@pytest.mark.parametrize("method", ["projector", "analytic"])
-def test_measurement_sign_is_deterministic(method):
+def test_measurement_sign_is_deterministic():
+    # outcome k is edge k // 2 with parity k % 2: "+" is 0, "-" is 1
     rng = substream(504, 0)
     single = PerfectMatching(((1, 2),))
-    for _ in range(50):
-        out = measure_matching_basis(prepare_state(BitString.from_text("00")), single, rng, method)
-        assert (out.edge_index, out.sign) == (1, 1)
-        out = measure_matching_basis(prepare_state(BitString.from_text("01")), single, rng, method)
-        assert (out.edge_index, out.sign) == (1, -1)
+    out = measure_matching_basis(prepare_state(BitString.from_text("00")), single, rng, 50)
+    assert out.tolist() == [0] * 50
+    out = measure_matching_basis(prepare_state(BitString.from_text("01")), single, rng, 50)
+    assert out.tolist() == [1] * 50
 
 
-@pytest.mark.parametrize("method", ["projector", "analytic"])
-def test_measured_sign_always_matches_parity(method):
+def test_measured_sign_always_matches_parity():
     rng = substream(505, 0)
     for _ in range(30):
         n = int(rng.integers(1, 10))
         x = BitString(rng.integers(0, 2, size=2 * n))
         matching = sample_matching(n, rng)
         parities = apply_matching(matching, x)
-        out = measure_matching_basis(prepare_state(x), matching, rng, method)
-        assert out.parity() == parities.bits[out.edge_index - 1]
+        out = measure_matching_basis(prepare_state(x), matching, rng, 20)
+        assert np.array_equal(out % 2, parities.bits[out // 2])
 
 
 def test_measurement_method_validation():
     rng = substream(506, 0)
     state = prepare_state(BitString.from_text("00"))
-    with pytest.raises(ValueError):
-        measure_matching_basis(state, PerfectMatching(((1, 2),)), rng, method="exact")
     with pytest.raises(DimensionMismatch):
-        measure_matching_basis(state, PerfectMatching(((1, 2), (3, 4))), rng)
+        measure_matching_basis(state, PerfectMatching(((1, 2), (3, 4))), rng, 1)
+    with pytest.raises(ValueError, match="shots must be positive, got 0"):
+        measure_matching_basis(state, PerfectMatching(((1, 2),)), rng, 0)
 
 
 def test_measured_parity_guard_raises(monkeypatch):
@@ -133,7 +131,7 @@ def test_measured_parity_guard_raises(monkeypatch):
     monkeypatch.setattr(quantum, "outcome_probabilities", swapped)
     state = prepare_state(BitString.from_text("01"))
     with pytest.raises(RuntimeError, match="contradicts the parity"):
-        measure_matching_basis(state, PerfectMatching(((1, 2),)), substream(506, 1), "projector")
+        measure_matching_basis(state, PerfectMatching(((1, 2),)), substream(506, 1), 3)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -144,12 +142,12 @@ def test_projector_and_analytic_agree_in_distribution(n):
     matching = sample_matching(n, rng)
     state = prepare_state(x)
     exact = outcome_probabilities(state, matching)
-    for method in ("projector", "analytic"):
-        hist = np.zeros(2 * n)
-        for _ in range(shots):
-            out = measure_matching_basis(state, matching, rng, method)
-            hist[2 * (out.edge_index - 1) + (0 if out.sign > 0 else 1)] += 1
-        freq = hist / shots
+    projector = measure_matching_basis(state, matching, rng, shots)
+    # the analytic law: a uniform edge, its sign read off the edge's parity
+    edge = rng.integers(0, n, size=shots)
+    analytic = 2 * edge + apply_matching(matching, x).bits[edge]
+    for cells in (projector, analytic):
+        freq = np.bincount(cells, minlength=2 * n) / shots
         assert float(freq[exact < 1e-15].sum()) == 0.0  # forbidden outcomes never appear
         live = exact > 1e-15
         sigma = np.sqrt(exact[live] * (1 - exact[live]) / shots)
@@ -173,12 +171,9 @@ def test_run_single_closed_form():
 def test_run_single_projector_path_agrees():
     inst = pinned_instance(4, 1, source=0, rng=substream(509, 0))
     trials = 20_000
-    hits_p = sum(run_single(inst, substream(509, 1, t), "projector") == 0 for t in range(trials))
-    hits_a = sum(run_single(inst, substream(509, 2, t), "analytic") == 0 for t in range(trials))
+    hits = sum(run_single(inst, substream(509, 1, t)) == 0 for t in range(trials))
     p = 0.75
-    sigma = math.sqrt(p * (1 - p) / trials)
-    assert abs(hits_p / trials - p) <= 3 * sigma
-    assert abs(hits_a / trials - p) <= 3 * sigma
+    assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
 
 def test_run_repeated_validation_and_cost():
@@ -230,7 +225,7 @@ def test_run_repeated_methods_agree():
 
     def projector_vote(rng):
         # one projector run_single per shot: the oracle route for majority_vote
-        ones = sum(run_single(inst, rng, method="projector") for _ in range(3))
+        ones = sum(run_single(inst, rng) for _ in range(3))
         return 1 if 2 * ones > 3 else 0
 
     for vote in (lambda rng: run_repeated(inst, 3, rng), projector_vote):
