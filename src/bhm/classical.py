@@ -247,10 +247,10 @@ def run_subset_trials(
 def _joint_mass(n: int) -> tuple[np.ndarray, int]:
     """The mixture's exact joint mass over (x, matching, source, w), scaled to integers.
 
-    Returns (mass, denom) with mass[x, matching, b, w] = 4^n mu_b(w xor Mx),
-    matchings in :func:`enumerate_matchings` order, so that the mixture
-    probability of a cell is mass / denom.  :data:`ENUMERATION_BUDGET` is
-    checked before anything is built.
+    Returns (mass, denom) with mass[x, matching, b, w] = q^n mu_b(w xor Mx),
+    q the denominator of :data:`NOISE_BIAS` and matchings in
+    :func:`enumerate_matchings` order, so that the mixture probability of a
+    cell is mass / denom.  :data:`ENUMERATION_BUDGET` is checked first.
     """
     work = (1 << (2 * n)) * count_matchings(2 * n) * (1 << n)
     if work > ENUMERATION_BUDGET:
@@ -258,14 +258,16 @@ def _joint_mass(n: int) -> tuple[np.ndarray, int]:
             f"exact enumeration needs {work} tuple visits, budget is {ENUMERATION_BUDGET}"
         )
     ones = _popcounts(1 << n)
-    mu = np.stack([3 ** (n - ones), 3**ones])  # 4^n mu_b over noise patterns
+    agree, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
+    mu0 = agree ** (n - ones) * (q - agree) ** ones
+    mu = np.stack([mu0, mu0[::-1]])  # mu_1 is mu_0 at the complemented pattern
     images = np.stack(
         [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)],
         axis=1,
     )
     noise = images[:, :, None] ^ np.arange(1 << n)  # [x, matching, w]
     mass = np.moveaxis(mu[:, noise], 0, 2)
-    return mass, 2 * images.size * 4**n
+    return mass, 2 * images.size * q**n
 
 
 def _winning_mass(joint: np.ndarray) -> np.ndarray:

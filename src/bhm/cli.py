@@ -80,8 +80,7 @@ def run_separation_sweep(
     if not ns or any(v < 1 for v in ns) or list(ns) != sorted(set(ns)):
         raise ValueError("grid must be a strictly increasing list of positive n")
     _check_reps(reps)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_positive("--trials", trials)
     # the grid is increasing, so its first point bounds the subset for every point
     if not 0 <= subset_size <= 2 * ns[0]:
         raise ValueError(f"subset size {subset_size} out of range 0..{2 * ns[0]}")
@@ -118,6 +117,11 @@ def _check_reps(reps: int) -> None:
         raise ValueError(f"--reps must be odd and positive, got {reps}")
 
 
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be positive, got {value}")
+
+
 def _stage_seed(seed: int, stage: int) -> int:
     # distinct 64-bit stage seeds so nested runners keep per-trial substreams
     return (seed * 1_000_003 + stage + 1) % (1 << 63)
@@ -128,6 +132,7 @@ def _stage_seed(seed: int, stage: int) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_positive("--n", args.n)
     if args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
     rows = []
@@ -142,8 +147,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantum_run(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be positive, got {args.trials}")
+    _check_positive("--n", args.n)
+    _check_positive("--trials", args.trials)
     _check_reps(args.reps)
     rows = []
     for t in range(args.trials):
@@ -168,10 +173,11 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_classical_run(args: argparse.Namespace) -> int:
+    _check_positive("--n", args.n)
+    _check_positive("--trials", args.trials)
     if args.subset_size < 0:
         raise ValueError(f"--subset-size must be nonnegative, got {args.subset_size}")
-    # with n < 1 the runner's own "n must be positive" is the message
-    if args.n >= 1 and args.subset_size > 2 * args.n:
+    if args.subset_size > 2 * args.n:
         raise ValueError(f"--subset-size {args.subset_size} out of range 0..{2 * args.n}")
     report = classical.run_subset_trials(args.n, args.subset_size, args.trials, args.seed)
     record = report.to_json_dict()
@@ -182,6 +188,9 @@ def _cmd_classical_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bruteforce(args: argparse.Namespace) -> int:
+    _check_positive("--n", args.n)
+    if args.bits < 0:
+        raise ValueError(f"--bits must be nonnegative, got {args.bits}")
     report = classical.bruteforce_optimal(args.n, args.bits)
     emit([report.to_json_dict()], [], "json", args.out)
     return EXIT_OK
@@ -193,8 +202,7 @@ def _cmd_fourier_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be positive, got {args.n}")
+    _check_positive("--n", args.n)
     exact = combinatorics.gamma_exact(args.n, args.k)
     record: dict[str, Any] = {
         "n": args.n,
@@ -206,8 +214,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         "proof_relevant": args.k % 4 == 2,
     }
     if args.mc is not None:
-        if args.mc < 1:
-            raise ValueError(f"--mc must be positive, got {args.mc}")
+        _check_positive("--mc", args.mc)
         if args.seed is None:
             raise ValueError("--mc requires --seed")
         est = combinatorics.gamma_monte_carlo(

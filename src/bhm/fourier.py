@@ -169,17 +169,17 @@ def mu_difference(n: int) -> CubeFunction:
     p = float(NOISE_BIAS)
     ones = _popcounts(1 << n)
     mu0 = p ** (n - ones) * (1 - p) ** ones
-    mu1 = p**ones * (1 - p) ** (n - ones)
-    return CubeFunction(m=n, values=mu0 - mu1)
+    return CubeFunction(m=n, values=mu0 - mu0[::-1])  # mu_1 is mu_0 of the complement
 
 
 def closed_form_spectrum_table(n: int) -> np.ndarray:
     """Coefficients of mu_0 - mu_1 over all 2^n characters s.
 
-    The coefficient at s is 2 / 2^(n+k) when the weight k of s is odd, else 0.
+    The coefficient at s is 2 (2p - 1)^k / 2^n, p = NOISE_BIAS, when the
+    weight k of s is odd, else 0.
     """
     ks = _popcounts(1 << n)
-    return np.where(ks % 2 == 1, 2.0 / (2.0 ** (n + ks)), 0.0)
+    return np.where(ks % 2 == 1, 2.0 * float(2 * NOISE_BIAS - 1) ** ks / 2.0**n, 0.0)
 
 
 def matching_image_table(matching: PerfectMatching) -> np.ndarray:

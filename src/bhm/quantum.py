@@ -10,9 +10,9 @@ complex phase.
 
 Measurement has one route: :func:`measure_matching_basis` samples from
 the squared inner products of the explicit basis.  It is the oracle that
-tests and ``verify`` hold the batched runners (:func:`majority_vote`,
-:func:`majority_vote_count`, :func:`empirical_success`) against; those
-draw the uniform edge directly and never build the basis.
+tests and ``verify`` hold the r-shot vote :func:`majority_votes` and its
+count-only form :func:`majority_vote_count` against; those draw the
+uniform edges directly and never build the basis.
 """
 
 from __future__ import annotations
@@ -125,27 +125,38 @@ def run_repeated(inst: BhmInstance, r: int, rng: np.random.Generator) -> int:
 
     The r messages cost ``r * message_qubits(inst.n)`` qubits in all.
     """
+    return int(majority_votes(_disagreement_bits(inst), r, 1, rng)[0])
+
+
+#: Shot draws per block of :func:`majority_votes`, so memory does not grow with trials.
+_VOTE_BLOCK = 1 << 16
+
+
+def majority_votes(
+    disagree: np.ndarray, r: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Bob's guesses over ``trials`` successive r-shot runs for odd r, on one generator.
+
+    A run guesses the majority of ``disagree`` (edge parities xor w) at r
+    uniform edges.  PCG64 keeps its spare 32-bit half-word between blocks,
+    so the runs draw exactly as one r-edge draw per run would.
+    """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"repetitions must be odd and positive, got {r}")
-    return majority_vote(_disagreement_bits(inst), r, rng)
-
-
-def majority_vote(disagree: np.ndarray, r: int, rng: np.random.Generator) -> int:
-    """Bob's r-shot majority guess for odd r, given disagree = edge parities xor w.
-
-    One batched draw of r uniform edges: the per-shot distribution of r
-    :func:`run_single` calls.
-    """
-    ones = int(disagree[rng.integers(0, disagree.size, size=r)].sum())
-    return 1 if 2 * ones > r else 0
+    rows = max(1, _VOTE_BLOCK // r)
+    guesses = np.empty(trials, dtype=np.uint8)
+    for start in range(0, trials, rows):
+        picks = rng.integers(0, disagree.size, size=(min(rows, trials - start), r))
+        guesses[start : start + rows] = 2 * disagree[picks].sum(axis=1) > r
+    return guesses
 
 
 def majority_vote_count(n: int, d: int, r: int, rng: np.random.Generator) -> int:
     """Bob's r-shot majority guess for odd r when d of the n edges disagree.
 
     The edges are exchangeable, so the d disagreeing ones may be taken to
-    be the first d: this is :func:`majority_vote` on ``arange(n) < d``,
-    draw for draw, without building the n-bit array.
+    be the first d: this is :func:`majority_votes` on ``arange(n) < d`` for
+    one run, draw for draw, without building the n-bit array.
     """
     ones = int((rng.integers(0, n, size=r) < d).sum())
     return 1 if 2 * ones > r else 0
@@ -161,8 +172,7 @@ def empirical_success(inst: BhmInstance, shots: int, rng: np.random.Generator) -
         raise ValueError("instance has no source label")
     if shots < 1:
         raise ValueError("shots must be positive")
-    disagree = _disagreement_bits(inst)
-    guesses = disagree[rng.integers(0, inst.n, size=shots)]
+    guesses = majority_votes(_disagreement_bits(inst), 1, shots, rng)
     return float(np.mean(guesses == inst.source))
 
 
@@ -174,34 +184,32 @@ def majority_success(p: Fraction | float, r: int) -> Fraction | float:
     return sum(math.comb(r, j) * p**j * q ** (r - j) for j in range((r + 1) // 2, r + 1))
 
 
+def _single_shot_success(n: int, d: int, source: int) -> Fraction:
+    """One shot's success with d disagreeing edges: (n - d)/n for source 0, d/n for 1."""
+    return Fraction(d, n) if source else Fraction(n - d, n)
+
+
 def mixture_success(n: int, r: int, promise: bool = True) -> Fraction:
     """Exact success of the r-shot protocol over the generating mixture.
 
     Averages :func:`exact_success` over the source bit and the
-    disagreement count d, which is all it reads: one shot is right with
-    probability (n - d)/n for source 0 and d/n for source 1.  With
-    ``promise``, d is kept inside the promise only.
+    disagreement count d, which is all it reads.  With ``promise``, d is
+    kept inside the promise only.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     total = Fraction(0)
     for b in (0, 1):
         for d, p_d in _count_law(n, b, promise).items():
-            p = Fraction(d, n) if b else Fraction(n - d, n)
-            total += p_d * majority_success(p, r) / 2
+            total += p_d * majority_success(_single_shot_success(n, d, b), r) / 2
     return total
 
 
 def exact_success(inst: BhmInstance, r: int = 1) -> Fraction:
-    """Exact probability that the r-shot majority guess equals the source.
-
-    Single-shot success is (n - d)/n for source 0 and d/n for source 1,
-    with d the number of w positions disagreeing with the edge parities.
-    """
+    """Exact probability that the r-shot majority guess equals the source."""
     if inst.source is None:
         raise ValueError("instance has no source label")
-    d = inst.disagreements()
-    p = Fraction(inst.n - d, inst.n) if inst.source == 0 else Fraction(d, inst.n)
+    p = _single_shot_success(inst.n, inst.disagreements(), inst.source)
     result = majority_success(p, r)
     if not isinstance(result, Fraction):
         raise TypeError(f"exact success came out as {type(result).__name__}, not Fraction")

@@ -236,8 +236,7 @@ def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
             inst = instances.pinned_instance(n, d, source=0, rng=substream(seed, 9, case))
             case += 1
             p = float(quantum.exact_success(inst))
-            rng = substream(seed, 9, 100 + case)
-            p_hat = quantum.empirical_success(inst, shots, rng)
+            p_hat = quantum.empirical_success(inst, shots, substream(seed, 9, 100 + case))
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
             worst_z = max(worst_z, abs(p_hat - p) / sigma)
     return CheckResult("quantum_mc_vs_exact", worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"})
@@ -254,19 +253,17 @@ def check_amplification(
         source=0,
     )
     ok = quantum.exact_success(inst) == Fraction(2, 3)
+    disagree = quantum._disagreement_bits(inst)
     worst_z = 0.0
     previous = Fraction(0)
     for i, r in enumerate(rs):
         exact = quantum.exact_success(inst, r)
         ok &= exact >= previous
         previous = exact
-        rng = substream(seed, 10, i)
-        hits = sum(
-            quantum.run_repeated(inst, r, rng) == inst.source for _ in range(trials)
-        )
+        guesses = quantum.majority_votes(disagree, r, trials, substream(seed, 10, i))
         p = float(exact)
         sigma = math.sqrt(p * (1 - p) / trials)
-        worst_z = max(worst_z, abs(hits / trials - p) / sigma)
+        worst_z = max(worst_z, abs(float(np.mean(guesses == inst.source)) - p) / sigma)
     return CheckResult(
         "amplification", ok and worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"}
     )

@@ -31,7 +31,7 @@ from bhm.quantum import (
     empirical_success,
     exact_success,
     majority_success,
-    majority_vote,
+    majority_votes,
     message_qubits,
     run_repeated,
 )
@@ -102,21 +102,17 @@ def test_criterion_02_amplification():
     assert all(a <= b for a, b in zip(exact_values, exact_values[1:]))  # monotone
     worst_z = 0.0
     for r, exact in zip(rs, exact_values):
-        rng = substream(SEED_AMPLIFY, r)
-        draws = rng.integers(0, 3, size=(trials, r))
-        ones = disagree[draws].sum(axis=1)
-        hits = int((2 * ones <= r).sum())  # guess 0 iff majority of guesses is 0
+        guesses = majority_votes(disagree, r, trials, substream(SEED_AMPLIFY, r))
+        hits = int((guesses == 0).sum())
         p = float(exact)
         z = abs(hits / trials - p) / math.sqrt(p * (1 - p) / trials)
         worst_z = max(worst_z, z)
         assert z <= 3.0
-    # the batched draw is the same computation run_repeated performs per trial
+    # the batched vote is run_repeated performed trial after trial on one stream
     for t in range(200):
-        rng_a = substream(SEED_AMPLIFY, 999, t)
-        rng_b = substream(SEED_AMPLIFY, 999, t)
-        guesses = disagree[rng_a.integers(0, 3, size=7)]
-        expected_guess = 1 if 2 * int(guesses.sum()) > 7 else 0
-        assert run_repeated(inst, 7, rng_b) == expected_guess
+        batched = majority_votes(disagree, 7, 2, substream(SEED_AMPLIFY, 999, t))
+        rng = substream(SEED_AMPLIFY, 999, t)
+        assert [run_repeated(inst, 7, rng), run_repeated(inst, 7, rng)] == batched.tolist()
     report(
         "2 (amplification)",
         f"r in 1..45 odd at p=2/3, MC 1e5/r vs exact tail, worst |z|={worst_z:.2f}, "
@@ -217,7 +213,7 @@ def test_criterion_09_separation_snapshot():
     for t in range(quantum_trials):
         rng = substream(SEED_SEPARATION, 0, t)
         _, _, _, b, disagree = _sample_promise_arrays(n, rng)
-        hits += majority_vote(disagree, 1, rng) == b
+        hits += majority_votes(disagree, 1, 1, rng)[0] == b
     q_success = hits / quantum_trials
     assert q_success >= 2 / 3
 

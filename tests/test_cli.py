@@ -306,7 +306,12 @@ def test_injected_fault_fails_loudly(tmp_path, monkeypatch):
 
 def test_amplification_check_fails_on_a_wrong_single_shot_value(monkeypatch):
     # the single-shot precondition is part of the check's verdict, not an
-    # assert that python -O would strip
+    # assert that python -O would strip; the votes come from one batched
+    # kernel call per r, never from a run_repeated call per trial
+    def per_trial(*args):
+        raise AssertionError("check_amplification ran a per-trial vote")
+
+    monkeypatch.setattr(quantum, "run_repeated", per_trial)
     real = quantum.exact_success
     assert verify.check_amplification(3, rs=(3,), trials=500).passed
     monkeypatch.setattr(
@@ -356,6 +361,38 @@ def test_sweep_rejects_negative_subset_size(tmp_path, capsys):
     )
     assert code == cli.EXIT_CONFIG
     assert "subset size -2 out of range 0..8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--n", "0", "--count", "1", "--seed", "1"], "--n must be positive, got 0"),
+        (
+            ["quantum-run", "--n", "0", "--trials", "1", "--seed", "1"],
+            "--n must be positive, got 0",
+        ),
+        (
+            ["sweep", "--ns", "4", "--trials", "0", "--subset-size", "1", "--seed", "1"],
+            "--trials must be positive, got 0",
+        ),
+        (
+            ["classical-run", "--n", "4", "--subset-size", "1", "--trials", "0", "--seed", "1"],
+            "--trials must be positive, got 0",
+        ),
+        (["bruteforce", "--n", "0"], "--n must be positive, got 0"),
+        (["bruteforce", "--bits", "-1"], "--bits must be nonnegative, got -1"),
+    ],
+)
+def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, message):
+    def no_draw(*args):
+        raise AssertionError("a draw ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "substream", no_draw)
+    monkeypatch.setattr(classical, "substream", no_draw)
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {message}\n" == capsys.readouterr().err
     assert not out.exists()
 
 

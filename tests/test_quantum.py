@@ -14,8 +14,8 @@ from bhm.quantum import (
     empirical_success,
     exact_success,
     majority_success,
-    majority_vote,
     majority_vote_count,
+    majority_votes,
     matching_basis,
     measure_matching_basis,
     message_qubits,
@@ -155,12 +155,18 @@ def test_projector_and_analytic_agree_in_distribution(n):
 
 
 def test_run_single_closed_form():
-    # with d disagreements, a zero-source guess is right with chance (n-d)/n
+    # with d disagreements, a zero-source guess is right with chance (n-d)/n;
+    # the shots are drawn in one projector batch, which run_single repeats shot
+    # for shot on a twin stream
     trials = 30_000
     for case, (n, d) in enumerate([(8, 0), (8, 2), (16, 7)]):
         inst = pinned_instance(n, d, source=0, rng=substream(508, case))
-        rng = substream(508, 100 + case)
-        hits = sum(run_single(inst, rng) == 0 for _ in range(trials))
+        state = prepare_state(inst.x)
+        k = measure_matching_basis(state, inst.matching, substream(508, 100 + case), trials)
+        guesses = (k % 2) ^ inst.w.bits[k // 2]
+        twin = substream(508, 100 + case)
+        assert [run_single(inst, twin) for _ in range(500)] == guesses[:500].tolist()
+        hits = int((guesses == 0).sum())
         p = (n - d) / n
         if d == 0:
             assert hits == trials
@@ -187,7 +193,7 @@ def test_run_repeated_validation_and_cost():
     disagree = apply_matching(inst.matching, inst.x).bits ^ inst.w.bits
     guess = run_repeated(inst, 5, rng)
     assert type(guess) is int
-    assert guess == majority_vote(disagree, 5, substream(510, 1))
+    assert guess == majority_votes(disagree, 5, 1, substream(510, 1))[0]
 
 
 def test_run_repeated_r1_matches_single_shot_rate():
@@ -224,7 +230,7 @@ def test_run_repeated_methods_agree():
     p = float(exact_success(inst, 3))
 
     def projector_vote(rng):
-        # one projector run_single per shot: the oracle route for majority_vote
+        # one projector run_single per shot: the oracle route for majority_votes
         ones = sum(run_single(inst, rng) for _ in range(3))
         return 1 if 2 * ones > 3 else 0
 
@@ -256,16 +262,26 @@ def test_exact_success_guard_raises(monkeypatch):
         exact_success(inst)
 
 
-def test_majority_vote_is_the_batched_analytic_run():
-    # one draw of r edge indices, then the majority of their disagreement bits
+def test_majority_vote_is_the_batched_analytic_run(monkeypatch):
+    # per run one draw of r edge indices, then the majority of their
+    # disagreement bits; a 5-element block makes the draw cross block
+    # boundaries, where odd draw counts leave a spare 32-bit half-word
     disagree = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    for r in (1, 3, 7):
-        rng_a, rng_b = substream(516, r), substream(516, r)
-        ones = int(disagree[rng_b.integers(0, 5, size=r)].sum())
-        assert quantum.majority_vote(disagree, r, rng_a) == int(2 * ones > r)
-        assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
-    assert quantum.majority_vote(np.ones(4, dtype=np.uint8), 5, substream(516, 0)) == 1
-    assert quantum.majority_vote(np.zeros(4, dtype=np.uint8), 5, substream(516, 0)) == 0
+    trials = 23
+    for block in (5, quantum._VOTE_BLOCK):
+        monkeypatch.setattr(quantum, "_VOTE_BLOCK", block)
+        for r in (1, 3, 7):
+            rng_a, rng_b = substream(516, r), substream(516, r)
+            expected = [
+                int(2 * disagree[rng_b.integers(0, 5, size=r)].sum() > r) for _ in range(trials)
+            ]
+            assert majority_votes(disagree, r, trials, rng_a).tolist() == expected
+            assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+    assert majority_votes(np.ones(4, dtype=np.uint8), 5, 3, substream(516, 0)).tolist() == [1] * 3
+    assert majority_votes(np.zeros(4, dtype=np.uint8), 5, 3, substream(516, 0)).tolist() == [0] * 3
+    for r in (0, 2):
+        with pytest.raises(ValueError, match=f"odd and positive, got {r}"):
+            majority_votes(disagree, r, 1, substream(516, 0))
 
 
 def test_exact_success_on_promise_is_at_least_two_thirds():
@@ -335,5 +351,5 @@ def test_majority_vote_count_is_the_vote_on_sorted_bits():
                 sorted_bits = (np.arange(n) < d).astype(np.uint8)
                 for t in range(5):
                     assert majority_vote_count(n, d, r, substream(515, n, d, r, t)) == (
-                        majority_vote(sorted_bits, r, substream(515, n, d, r, t))
+                        majority_votes(sorted_bits, r, 1, substream(515, n, d, r, t))[0]
                     )
