@@ -208,19 +208,25 @@ def subset_mixture_success(n: int, c: int, promise: bool) -> Fraction:
     if not promise:
         # the k known observations are then independent 3/4-biased votes
         return sum(p_k * known_edge_success(k) for k, p_k in enumerate(law))
+    laws = [_count_law(n, b, promise) for b in (0, 1)]
+    # d -> n - d keeps the promise and swaps the two laws, so their masses agree
+    mass = laws[0][1]
     total = Fraction(0)
-    for b in (0, 1):
-        for d, p_d in _count_law(n, b, promise).items():
-            for k, p_k in enumerate(law):
-                # twice the winning chance of the vote with j of k known edges
-                # disagreeing: guess 1 iff 2j > k, a tie is a fair coin
-                wins2 = sum(
-                    math.comb(d, j)
-                    * math.comb(n - d, k - j)
-                    * (1 if 2 * j == k else 2 * ((2 * j > k) == b))
-                    for j in range(k + 1)
-                )
-                total += p_d * p_k * Fraction(wins2, 4 * math.comb(n, k))
+    for k, p_k in enumerate(law):
+        # twice the winning chance of the vote with j of k known edges
+        # disagreeing: guess 1 iff 2j > k, a tie is a fair coin
+        wins2 = sum(
+            weight
+            * sum(
+                math.comb(d, j)
+                * math.comb(n - d, k - j)
+                * (1 if 2 * j == k else 2 * ((2 * j > k) == b))
+                for j in range(k + 1)
+            )
+            for b in (0, 1)
+            for d, weight in laws[b][0].items()
+        )
+        total += p_k * Fraction(wins2, 4 * math.comb(n, k) * mass)
     return total
 
 
@@ -351,8 +357,9 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
         value = bayes_success(alice_identity(n), n, 2 * n)
         witness = {"map": "identity"}
     elif c == 1:
-        if (1 << num_x) > MAP_BUDGET:
-            raise BudgetExceeded(f"{1 << num_x} one-bit maps exceed map budget {MAP_BUDGET}")
+        # compare exponents: the count 2^num_x itself would have 4^n + 1 bits
+        if num_x > MAP_BUDGET.bit_length() - 1:
+            raise BudgetExceeded(f"2^{num_x} one-bit maps exceed map budget {MAP_BUDGET}")
         value, best_map = _bruteforce_one_bit(n)
         witness = {
             "message_0": [_x_text(i, n) for i in range(num_x) if not (best_map >> i) & 1],

@@ -203,6 +203,10 @@ def _cmd_fourier_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
     _check_positive("--n", args.n)
+    if args.k % 2:
+        raise ValueError(f"--k must be even, got {args.k}")
+    if not 2 <= args.k <= 2 * args.n:
+        raise ValueError(f"--k must be in 2..{2 * args.n}, got {args.k}")
     exact = combinatorics.gamma_exact(args.n, args.k)
     record: dict[str, Any] = {
         "n": args.n,

@@ -13,7 +13,6 @@ zero instance iff 3d <= n and a one instance iff 3d >= 2n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -163,21 +162,26 @@ def _sample_source_and_count(
             return b, d
 
 
-def _count_law(n: int, b: int, promise: bool) -> dict[int, Fraction]:
-    """Exact law of the disagreement count d given the source bit b.
+def _count_law(n: int, b: int, promise: bool) -> tuple[dict[int, int], int]:
+    """Law of the disagreement count d given the source bit b, in whole numbers.
 
-    The law is Binomial(n, 1/4) for b = 0 and Binomial(n, 3/4) for b = 1.
-    With ``promise`` it is restricted to the counts inside the promise and
-    renormalised over them.
+    Returns the weights ``q^n P(d | b)`` of the counts kept, keyed by d,
+    and their sum; p = a/q is :data:`NOISE_BIAS`.  The law is Binomial(n,
+    1/4) for b = 0 and Binomial(n, 3/4) for b = 1.  With ``promise`` only
+    the counts inside the promise are kept, so the sum is their mass.
     """
-    p = NOISE_BIAS if b else 1 - NOISE_BIAS
-    law = {
-        d: math.comb(n, d) * p**d * (1 - p) ** (n - d)
-        for d in range(n + 1)
-        if not promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE
-    }
-    mass = sum(law.values())
-    return {d: v / mass for d, v in law.items()}
+    a, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
+    u = a if b else q - a  # q times the chance that one edge disagrees
+    v = q - u
+    weights = {}
+    weight = v**n
+    for d in range(n + 1):
+        if not promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE:
+            weights[d] = weight
+        # the pmf ratio recurrence; the floor division is exact because the
+        # next weight C(n, d+1) u^(d+1) v^(n-d-1) is itself a whole number
+        weight = weight * (n - d) * u // ((d + 1) * v)
+    return weights, sum(weights.values())
 
 
 def _instance_from_arrays(
@@ -247,13 +251,10 @@ def promise_outside_probability(n: int) -> Fraction:
 
     The disagreement count is Binomial(n, 1/4) under source 0 and
     Binomial(n, 3/4) under source 1; both give the same outside mass by
-    the h -> n-h symmetry, so the mixture mass equals either tail.
+    the h -> n-h symmetry, so the mixture mass is one minus the mass
+    :func:`_count_law` keeps under source 0.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    p = 1 - NOISE_BIAS
-    total = Fraction(0)
-    for d in range(n + 1):
-        if _classify_counts(n, d) is PromiseClass.OUTSIDE:
-            total += math.comb(n, d) * p**d * (1 - p) ** (n - d)
-    return total
+    _, mass = _count_law(n, 0, promise=True)
+    return 1 - Fraction(mass, NOISE_BIAS.denominator**n)

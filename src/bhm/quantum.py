@@ -194,14 +194,23 @@ def mixture_success(n: int, r: int, promise: bool = True) -> Fraction:
 
     Averages :func:`exact_success` over the source bit and the
     disagreement count d, which is all it reads.  With ``promise``, d is
-    kept inside the promise only.
+    kept inside the promise only.  Each source bit's average is summed in
+    whole numbers: the weights of :func:`instances._count_law` times the
+    vote's success scaled by n^r.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    scale = n**r
     total = Fraction(0)
     for b in (0, 1):
-        for d, p_d in _count_law(n, b, promise).items():
-            total += p_d * majority_success(_single_shot_success(n, d, b), r) / 2
+        weights, mass = _count_law(n, b, promise)
+        wins = 0
+        for d, weight in weights.items():
+            tail = majority_success(_single_shot_success(n, d, b), r) * scale
+            if tail.denominator != 1:
+                raise ArithmeticError(f"vote success at d={d} times {scale} is not whole")
+            wins += weight * tail.numerator
+        total += Fraction(wins, 2 * mass * scale)
     return total
 
 

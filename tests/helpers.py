@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from bhm.classical import _known_edge_law
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import BitString, PerfectMatching
 from bhm.instances import BhmInstance
@@ -119,3 +120,59 @@ def bayes_oracle(cells, alice) -> Fraction:
     for inst, prob, _ in cells:
         mass[alice(inst.x), inst.matching, inst.w][inst.source] += prob
     return sum(max(pair) for pair in mass.values())
+
+
+def _in_promise(n: int, d: int) -> bool:
+    return 3 * d <= n or 3 * d >= 2 * n
+
+
+def _binomial_count_law(n: int, b: int) -> dict[int, Fraction]:
+    """Binomial(n, 1/4) for b = 0 and Binomial(n, 3/4) for b = 1, one Fraction per d."""
+    p = Fraction(3, 4) if b else Fraction(1, 4)
+    return {d: math.comb(n, d) * p**d * (1 - p) ** (n - d) for d in range(n + 1)}
+
+
+def promise_outside_oracle(n: int) -> Fraction:
+    """Mass of the counts outside the promise, summed one Fraction at a time."""
+    return sum(p for d, p in _binomial_count_law(n, 0).items() if not _in_promise(n, d))
+
+
+def quantum_promise_success_oracle(n: int, r: int) -> Fraction:
+    """Success of the r-shot vote on promise instances, in one integer ratio.
+
+    Under source 0, d has weight C(n, d) 3^(n-d) out of 4^n and one shot is
+    right with chance (n - d)/n; source 1 mirrors it at d -> n - d.
+    """
+    kept = [d for d in range(n + 1) if _in_promise(n, d)]
+    weight = {d: math.comb(n, d) * 3 ** (n - d) for d in kept}
+    wins = sum(
+        weight[d]
+        * sum(math.comb(r, j) * (n - d) ** j * d ** (r - j) for j in range((r + 1) // 2, r + 1))
+        for d in kept
+    )
+    return Fraction(wins, sum(weight.values()) * n**r)
+
+
+def subset_promise_success_oracle(n: int, c: int) -> Fraction:
+    """Success of the subset vote with c known positions on promise instances.
+
+    Sums over the source bit, the renormalised count law inside the
+    promise, the known-edge count k and the j disagreeing known edges,
+    Hypergeometric(n, d, k), one Fraction per term.
+    """
+    edge_law = _known_edge_law(n, c)
+    total = Fraction(0)
+    for b in (0, 1):
+        law = {d: p for d, p in _binomial_count_law(n, b).items() if _in_promise(n, d)}
+        mass = sum(law.values())
+        for d, p_d in law.items():
+            for k, p_k in enumerate(edge_law):
+                # twice the winning chance: guess 1 iff 2j > k, a tie is a fair coin
+                wins2 = sum(
+                    math.comb(d, j)
+                    * math.comb(n - d, k - j)
+                    * (1 if 2 * j == k else 2 * ((2 * j > k) == b))
+                    for j in range(k + 1)
+                )
+                total += p_d / mass * p_k * Fraction(wins2, 4 * math.comb(n, k))
+    return total

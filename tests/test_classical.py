@@ -31,6 +31,7 @@ from helpers import (
     expected_internal_edges,
     mixture_average,
     mixture_cells,
+    subset_promise_success_oracle,
     z_score,
 )
 
@@ -144,6 +145,11 @@ def test_subset_mixture_success_equals_enumeration():
             assert subset_mixture_success(n, c, promise=True) == mixture_average(
                 cells, vote_success, promise=True
             )
+
+
+def test_subset_mixture_success_equals_the_fraction_route():
+    for n, c in ((64, 16), (256, 11)):
+        assert subset_mixture_success(n, c, promise=True) == subset_promise_success_oracle(n, c)
 
 
 def test_known_edge_law_equals_partner_process():

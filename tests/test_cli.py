@@ -180,6 +180,16 @@ def test_bruteforce_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
+    out = tmp_path / "b.json"
+    code = run_cli(["bruteforce", "--n", str(n), "--bits", "1", "--out", str(out)])
+    assert code == cli.EXIT_BUDGET
+    message = f"budget exceeded: 2^{4**n} one-bit maps exceed map budget 65536\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_gamma_report(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert run_cli(["gamma", "--n", "4", "--k", "2", "--out", str(out)]) == 0
@@ -382,6 +392,8 @@ def test_sweep_rejects_negative_subset_size(tmp_path, capsys):
         ),
         (["bruteforce", "--n", "0"], "--n must be positive, got 0"),
         (["bruteforce", "--bits", "-1"], "--bits must be nonnegative, got -1"),
+        (["gamma", "--n", "3", "--k", "3"], "--k must be even, got 3"),
+        (["gamma", "--n", "3", "--k", "8"], "--k must be in 2..6, got 8"),
     ],
 )
 def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, message):

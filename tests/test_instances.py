@@ -26,7 +26,7 @@ from bhm.instances import (
 )
 from bhm.seeding import substream
 
-from helpers import MC_Z_BOUND, chi_square_statistic, z_score
+from helpers import MC_Z_BOUND, chi_square_statistic, promise_outside_oracle, z_score
 
 
 def test_density_values():
@@ -211,12 +211,34 @@ def test_source_and_count_follow_the_exact_law():
         for b in (0, 1):
             ds = draws[draws[:, 0] == b, 1]
             counts = np.bincount(ds, minlength=n + 1)
-            law = _count_law(n, b, promise)
+            weights, mass = _count_law(n, b, promise)
+            law = {d: Fraction(w, mass) for d, w in weights.items()}
             for d in range(n + 1):
                 if d not in law:
                     assert counts[d] == 0
                 elif ds.size * law[d] >= 20:  # where the normal band applies
                     assert z_score(counts[d] / ds.size, law[d], ds.size) <= MC_Z_BOUND
+
+
+#: Sizes at which the whole-number count law is held to the closed form.
+LAW_NS = [*range(1, 201), 256, 512, 1024, 2048]
+
+
+def test_count_law_weights_are_the_binomial_closed_form():
+    # weights q^n P(d | b) = C(n, d) u^d v^(n-d), u/q the chance an edge disagrees
+    a, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
+    for n in LAW_NS:
+        for b in (0, 1):
+            u = a if b else q - a
+            full = {d: math.comb(n, d) * u**d * (q - u) ** (n - d) for d in range(n + 1)}
+            assert _count_law(n, b, promise=False) == (full, q**n)
+            kept = {d: w for d, w in full.items() if 3 * d <= n or 3 * d >= 2 * n}
+            assert _count_law(n, b, promise=True) == (kept, sum(kept.values()))
+
+
+def test_promise_outside_probability_equals_the_fraction_sum():
+    for n in LAW_NS:
+        assert promise_outside_probability(n) == promise_outside_oracle(n)
 
 
 def test_promise_outside_probability_exact():

@@ -27,7 +27,12 @@ from bhm.quantum import (
 )
 from bhm.seeding import substream
 
-from helpers import binomial_tail_at_least, mixture_average, mixture_cells
+from helpers import (
+    binomial_tail_at_least,
+    mixture_average,
+    mixture_cells,
+    quantum_promise_success_oracle,
+)
 
 
 def test_prepare_state_examples():
@@ -196,13 +201,24 @@ def test_run_repeated_validation_and_cost():
     assert guess == majority_votes(disagree, 5, 1, substream(510, 1))[0]
 
 
+def _repeated_hits(inst, r, trials, stream):
+    """Right guesses of run_repeated(inst, r, stream(t)) over t < trials.
+
+    run_repeated is the batched vote on the instance's disagreement bits for
+    one run, so the bits are built once and the vote runs on the same
+    per-trial substreams; the first 200 trials hold run_repeated to it.
+    """
+    disagree = quantum._disagreement_bits(inst)
+    guesses = [int(majority_votes(disagree, r, 1, stream(t))[0]) for t in range(trials)]
+    assert [run_repeated(inst, r, stream(t)) for t in range(200)] == guesses[:200]
+    return sum(guess == inst.source for guess in guesses)
+
+
 def test_run_repeated_r1_matches_single_shot_rate():
     inst = pinned_instance(6, 2, source=0, rng=substream(511, 0))
     trials = 20_000
     p = float(exact_success(inst))
-    hits = sum(
-        run_repeated(inst, 1, substream(511, 1, t)) == 0 for t in range(trials)
-    )
+    hits = _repeated_hits(inst, 1, trials, lambda t: substream(511, 1, t))
     assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
 
@@ -217,9 +233,7 @@ def test_run_repeated_amplifies():
     assert exact_success(inst, 1) == Fraction(2, 3)
     assert exact_success(inst, 3) == Fraction(20, 27)
     trials = 30_000
-    hits = sum(
-        run_repeated(inst, 3, substream(512, t)) == 0 for t in range(trials)
-    )
+    hits = _repeated_hits(inst, 3, trials, lambda t: substream(512, t))
     p = 20 / 27
     assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
@@ -228,15 +242,17 @@ def test_run_repeated_methods_agree():
     inst = pinned_instance(4, 1, source=1, rng=substream(513, 0))
     trials = 10_000
     p = float(exact_success(inst, 3))
+    band = 3 * math.sqrt(p * (1 - p) / trials)
+    hits = _repeated_hits(inst, 3, trials, lambda t: substream(513, 1, t))
+    assert abs(hits / trials - p) <= band
 
     def projector_vote(rng):
         # one projector run_single per shot: the oracle route for majority_votes
         ones = sum(run_single(inst, rng) for _ in range(3))
         return 1 if 2 * ones > 3 else 0
 
-    for vote in (lambda rng: run_repeated(inst, 3, rng), projector_vote):
-        hits = sum(vote(substream(513, 1, t)) == 1 for t in range(trials))
-        assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
+    hits = sum(projector_vote(substream(513, 1, t)) == 1 for t in range(trials))
+    assert abs(hits / trials - p) <= band
 
 
 def test_exact_success_values():
@@ -341,6 +357,18 @@ def test_mixture_success_equals_enumeration():
                     cells, lambda inst, r=r: exact_success(inst, r), promise
                 )
                 assert mixture_success(n, r, promise) == expected
+
+
+def test_mixture_success_equals_the_integer_formula():
+    for n in (64, 512):
+        assert mixture_success(n, 3, True) == quantum_promise_success_oracle(n, 3)
+
+
+def test_mixture_success_guard_raises(monkeypatch):
+    # a vote success that n^r does not scale to a whole number is refused
+    monkeypatch.setattr(quantum, "majority_success", lambda p, r: Fraction(1, 3))
+    with pytest.raises(ArithmeticError, match="not whole"):
+        mixture_success(4, 1)
 
 
 def test_majority_vote_count_is_the_vote_on_sorted_bits():
