@@ -250,6 +250,15 @@ def run_subset_trials(
 # exact enumeration
 
 
+def _check_enumeration_budget(n: int) -> None:
+    """Refuse an exact enumeration at n over :data:`ENUMERATION_BUDGET`, building nothing."""
+    work = (1 << (2 * n)) * count_matchings(2 * n) * (1 << n)
+    if work > ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"exact enumeration needs {work} tuple visits, budget is {ENUMERATION_BUDGET}"
+        )
+
+
 def _joint_mass(n: int) -> tuple[np.ndarray, int]:
     """The mixture's exact joint mass over (x, matching, source, w), scaled to integers.
 
@@ -258,11 +267,7 @@ def _joint_mass(n: int) -> tuple[np.ndarray, int]:
     :func:`enumerate_matchings` order, so that the mixture probability of a
     cell is mass / denom.  :data:`ENUMERATION_BUDGET` is checked first.
     """
-    work = (1 << (2 * n)) * count_matchings(2 * n) * (1 << n)
-    if work > ENUMERATION_BUDGET:
-        raise BudgetExceeded(
-            f"exact enumeration needs {work} tuple visits, budget is {ENUMERATION_BUDGET}"
-        )
+    _check_enumeration_budget(n)
     ones = _popcounts(1 << n)
     agree, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
     mu0 = agree ** (n - ones) * (q - agree) ** ones
@@ -347,6 +352,9 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
     """
     if n < 1 or c < 0:
         raise ValueError("need n >= 1 and c >= 0")
+    if c == 0 or c >= 2 * n:
+        # before the 4^n-entry message map below is built
+        _check_enumeration_budget(n)
     num_x = 1 << (2 * n)
     if c == 0:
         value = bayes_success(alice_constant(n), n, 0)

@@ -76,6 +76,10 @@ def gamma_bound(n: int, k: int) -> float:
     return float(bound)
 
 
+#: Permutation entries per block of :func:`gamma_monte_carlo`, so memory does not grow with trials.
+_PERMUTATION_BLOCK = 1 << 20
+
+
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     """Frequency estimate with its standard error."""
@@ -98,7 +102,9 @@ def gamma_monte_carlo(
     A matching matches the support of z internally iff every edge lies
     entirely inside or entirely outside the support.  Defaults to the
     canonical support 1^k 0^(2n-k); pass z to probe a different support
-    of the same weight (the estimate depends only on k).
+    of the same weight (the estimate depends only on k).  Each row of one
+    ``permuted`` call draws exactly as one ``permutation(2n)`` call would,
+    so the blocks consume the generator trial by trial.
     """
     _validate_weight(n, k)
     if trials < 1:
@@ -108,12 +114,12 @@ def gamma_monte_carlo(
     if z.length != 2 * n or z.hamming_weight() != k:
         raise ValueError(f"z must have length {2 * n} and weight {k}")
     mask = z.bits.astype(bool)
+    rows = max(1, _PERMUTATION_BLOCK // (2 * n))
     hits = 0
-    for _ in range(trials):
-        perm = rng.permutation(2 * n)
-        inside = mask[perm]
-        if np.array_equal(inside[0::2], inside[1::2]):
-            hits += 1
+    for start in range(0, trials, rows):
+        perms = rng.permuted(np.tile(np.arange(2 * n), (min(rows, trials - start), 1)), axis=1)
+        inside = mask[perms]
+        hits += int(np.count_nonzero((inside[:, 0::2] == inside[:, 1::2]).all(axis=1)))
     p_hat = hits / trials
     sigma = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
     return MonteCarloEstimate(estimate=p_hat, sigma=sigma, trials=trials, successes=hits)

@@ -18,6 +18,13 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
+def _all_bits(values: np.ndarray) -> bool:
+    """Whether every entry is 0 or 1; one reduction for the uint8 arrays the package builds."""
+    if values.dtype == np.uint8:
+        return not values.max() > 1
+    return bool(((values == 0) | (values == 1)).all())
+
+
 @dataclass(frozen=True, eq=False)
 class BitString:
     """Immutable fixed-length 0/1 sequence over a read-only uint8 array."""
@@ -26,7 +33,7 @@ class BitString:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.bits)
-        if values.ndim != 1 or values.size == 0 or not np.all((values == 0) | (values == 1)):
+        if values.ndim != 1 or values.size == 0 or not _all_bits(values):
             raise ValueError("bitstring must be a nonempty 1-D sequence of 0s and 1s")
         bits = values.astype(np.uint8)  # always a copy, so the caller keeps no alias
         bits.setflags(write=False)

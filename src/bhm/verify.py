@@ -333,16 +333,20 @@ def check_density_normalization() -> CheckResult:
 
 
 def check_promise_rates(seed: int, trials: int = 10_000) -> CheckResult:
-    """Empirical outside-rate against the exact binomial tail at n = 50, 100; decreasing in n."""
+    """Empirical outside-rate against the exact binomial tail at n = 50, 100; decreasing in n.
+
+    Each trial makes the draws of :func:`instances.sample_T` on the array
+    kernel and classifies its disagreement count, building no objects.
+    """
     worst_z = 0.0
     rates = []
     for i, n in enumerate((50, 100)):
         exact = float(instances.promise_outside_probability(n))
         outside = 0
         for t in range(trials):
-            rng = substream(seed, 12, i, t)
-            inst = instances.sample_T(n, rng)
-            outside += instances.classify_promise(inst) is instances.PromiseClass.OUTSIDE
+            x, pairs, w, _ = instances._sample_t_arrays(n, substream(seed, 12, i, t))
+            d = int(np.count_nonzero(x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ w))
+            outside += instances._classify_counts(n, d) is instances.PromiseClass.OUTSIDE
         rate = outside / trials
         rates.append(rate)
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)

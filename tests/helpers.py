@@ -16,7 +16,9 @@ import numpy as np
 from bhm.classical import _known_edge_law
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import BitString, PerfectMatching
-from bhm.instances import BhmInstance
+from bhm.instances import BhmInstance, PromiseClass, classify_promise, sample_T
+from bhm.seeding import substream
+from bhm.verify import CheckResult
 
 
 def gf2_matrix_product(matching: PerfectMatching, x: BitString) -> np.ndarray:
@@ -37,6 +39,39 @@ def naive_walsh_coefficients(values: np.ndarray) -> np.ndarray:
         signs = 1.0 - 2.0 * (np.bitwise_count(ys & np.uint64(s)).astype(np.int64) & 1)
         out[s] = signs @ values
     return out / size
+
+
+def gamma_monte_carlo_oracle(z: BitString, trials: int, rng: np.random.Generator) -> int:
+    """Uniform matchings, one ``permutation`` call each, that match z's support internally."""
+    mask = np.array(z.bits, dtype=bool)
+    hits = 0
+    for _ in range(trials):
+        inside = mask[rng.permutation(z.length)]
+        hits += bool(np.array_equal(inside[0::2], inside[1::2]))
+    return hits
+
+
+def promise_rates_oracle(seed: int, trials: int) -> CheckResult:
+    """The promise-rate check on whole instances: ``sample_T`` and ``classify_promise`` per trial."""
+    worst_z = 0.0
+    rates = []
+    for i, n in enumerate((50, 100)):
+        exact = float(promise_outside_oracle(n))
+        outside = sum(
+            classify_promise(sample_T(n, substream(seed, 12, i, t))) is PromiseClass.OUTSIDE
+            for t in range(trials)
+        )
+        rate = outside / trials
+        rates.append(rate)
+        sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
+        worst_z = max(worst_z, abs(rate - exact) / sigma)
+    decreasing = all(a > b for a, b in zip(rates, rates[1:]))
+    return CheckResult(
+        "promise_rates",
+        worst_z <= 4.0 and decreasing,
+        max_gap=worst_z,
+        details={"unit": "z", "rates": rates},
+    )
 
 
 def binomial_tail_at_least(r: int, k: int, p: Fraction) -> Fraction:

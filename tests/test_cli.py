@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -186,6 +187,18 @@ def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
     code = run_cli(["bruteforce", "--n", str(n), "--bits", "1", "--out", str(out)])
     assert code == cli.EXIT_BUDGET
     message = f"budget exceeded: 2^{4**n} one-bit maps exceed map budget 65536\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, bits", [(4, 0), (4, 8), (40, 0), (40, 80)])
+def test_bruteforce_refuses_exact_enumeration_over_budget(tmp_path, capsys, n, bits):
+    # checked before the 4^n-entry constant or identity message map is built
+    out = tmp_path / "b.json"
+    code = run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)])
+    assert code == cli.EXIT_BUDGET
+    work = 4**n * math.prod(range(1, 2 * n, 2)) * 2**n
+    message = f"budget exceeded: exact enumeration needs {work} tuple visits, budget is 100000\n"
     assert capsys.readouterr().err == message
     assert not out.exists()
 

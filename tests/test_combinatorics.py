@@ -15,6 +15,8 @@ from bhm.combinatorics import (
 from bhm.core import BitString, PerfectMatching
 from bhm.seeding import substream
 
+from helpers import gamma_monte_carlo_oracle
+
 
 def test_count_matchings_values():
     assert [count_matchings(t) for t in (2, 4, 6, 8, 10)] == [1, 3, 15, 105, 945]
@@ -144,6 +146,32 @@ def test_gamma_monte_carlo_support_independence():
     )
     pooled = math.sqrt(est_canonical.sigma**2 + est_random.sigma**2)
     assert abs(est_canonical.estimate - est_random.estimate) <= 3 * pooled
+
+
+def _assert_draws_as_one_permutation_per_trial(n, k, trials, z=None):
+    rng, oracle_rng = substream(206, n, k), substream(206, n, k)
+    est = gamma_monte_carlo(n, k, trials, rng, z=z)
+    if z is None:
+        z = BitString(np.repeat(np.array([1, 0], dtype=np.uint8), [k, 2 * n - k]))
+    assert est.successes == gamma_monte_carlo_oracle(z, trials, oracle_rng)
+    # the generator ends where one permutation(2n) call per trial leaves it
+    assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("n, k, trials", [(4, 2, 2000), (8, 4, 2000), (16, 8, 2000), (3, 6, 500)])
+def test_gamma_monte_carlo_draws_as_one_permutation_per_trial(n, k, trials):
+    _assert_draws_as_one_permutation_per_trial(n, k, trials)
+
+
+def test_gamma_monte_carlo_draws_as_one_permutation_per_trial_on_a_given_support():
+    z = BitString.from_text("0110000000100100")
+    _assert_draws_as_one_permutation_per_trial(8, 4, 2000, z)
+
+
+def test_gamma_monte_carlo_draws_as_one_permutation_per_trial_across_blocks():
+    n, k, trials = 1024, 2, 1200
+    assert trials * 2 * n > 2 * combinatorics._PERMUTATION_BLOCK  # at least two boundaries
+    _assert_draws_as_one_permutation_per_trial(n, k, trials)
 
 
 def test_gamma_monte_carlo_validation():

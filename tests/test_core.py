@@ -29,12 +29,21 @@ def test_bitstring_round_trips():
 
 
 def test_bitstring_validation():
-    with pytest.raises(ValueError):
-        BitString(())
-    with pytest.raises(ValueError):
-        BitString((0, 2))
-    with pytest.raises(ValueError):
-        BitString((0.5, 1))
+    for bad in (
+        (),
+        (0, 2),
+        (0.5, 1),
+        np.array([0, 2], dtype=np.uint8),
+        np.array([1, 255], dtype=np.uint8),
+        np.array([0, -1], dtype=np.int64),
+        np.array([1, 256], dtype=np.int64),
+        np.array([], dtype=np.uint8),
+        np.zeros((2, 2), dtype=np.uint8),
+    ):
+        with pytest.raises(ValueError, match="nonempty 1-D sequence of 0s and 1s"):
+            BitString(bad)
+    assert BitString(np.array([True, False])) == BitString.from_text("10")
+    assert BitString(np.array([0, 1], dtype=np.int64)) == BitString.from_text("01")
     with pytest.raises(ValueError):
         BitString.from_text("01x")
     with pytest.raises(ValueError):

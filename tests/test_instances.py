@@ -25,8 +25,15 @@ from bhm.instances import (
     sample_T,
 )
 from bhm.seeding import substream
+from bhm.verify import check_promise_rates
 
-from helpers import MC_Z_BOUND, chi_square_statistic, promise_outside_oracle, z_score
+from helpers import (
+    MC_Z_BOUND,
+    chi_square_statistic,
+    promise_outside_oracle,
+    promise_rates_oracle,
+    z_score,
+)
 
 
 def test_density_values():
@@ -148,6 +155,13 @@ def test_sample_T_outside_rate_matches_exact_tail():
         outside += classify_promise(inst) is PromiseClass.OUTSIDE
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(outside / trials - exact) <= 3 * sigma
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_promise_rate_check_reports_what_whole_instances_give(seed):
+    # the check draws on the array kernel; the oracle builds every instance
+    got = check_promise_rates(seed, trials=2000).to_json_dict()
+    assert got == promise_rates_oracle(seed, trials=2000).to_json_dict()
 
 
 def test_sample_T_is_reproducible():

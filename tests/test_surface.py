@@ -21,6 +21,9 @@ ALLOWED = {
     "instances.sample_promise_instance": "whole promise instances for acceptance criterion 1",
     "instances.BhmInstance.from_json_dict": "reads gen output back; perfbench's gen check uses it",
     "core.PerfectMatching.edges": "the 1-based view of a matching that the README documents",
+    "instances.classify_promise": (
+        "object-level promise classification; tests hold the array kernel against it"
+    ),
 }
 
 
