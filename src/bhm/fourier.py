@@ -31,7 +31,7 @@ DEFAULT_MAX_DIM = 20
 #: Largest cube dimension for the direct O(4^m) convolution oracle.
 CONVOLVE_MAX_DIM = 12
 
-#: Largest 2n for which :func:`check_lift_identity` builds its 2^2n table.
+#: Largest 2n for which :func:`_lift_identity_gap` builds its 2^2n table.
 _LIFT_MAX_DIM = 12
 
 
@@ -202,8 +202,8 @@ def lift_index_table(matching: PerfectMatching) -> np.ndarray:
     return bits @ masks  # edge masks are disjoint, so sum == bitwise or
 
 
-def gM_from_set(A: Iterable[BitString], matching: PerfectMatching) -> CubeFunction:
-    """Distribution of the edge parities when x is uniform over A."""
+def _set_indices(A: Iterable[BitString], matching: PerfectMatching) -> np.ndarray:
+    """Cube-table indices of the elements of A, checked against the matching's 2n points."""
     indices = []
     for x in A:
         if x.length != matching.size:
@@ -213,9 +213,35 @@ def gM_from_set(A: Iterable[BitString], matching: PerfectMatching) -> CubeFuncti
         indices.append(x.to_index())
     if not indices:
         raise ValueError("A must be nonempty")
+    return np.array(indices, dtype=np.int64)
+
+
+def _gm_values(indices: np.ndarray, matching: PerfectMatching) -> np.ndarray:
+    """Edge-parity image distribution of the uniform density on the index set."""
     image = matching_image_table(matching)
-    counts = np.bincount(image[np.array(indices)], minlength=1 << matching.n)
-    return CubeFunction(m=matching.n, values=counts / len(indices))
+    return np.bincount(image[indices], minlength=1 << matching.n) / indices.size
+
+
+def _lift_identity_gap(indices: np.ndarray, matching: PerfectMatching) -> float:
+    """Max gap of ghat(lift(s)) = 2^-n gMhat(s) over all s, for A given by its indices.
+
+    g is 1/|A| on each index of A inside {0,1}^2n; the cap is checked
+    before any 2^2n table is built.
+    """
+    if matching.size > _LIFT_MAX_DIM:
+        raise BudgetExceeded(f"lift check at 2n={matching.size} exceeds cap {_LIFT_MAX_DIM}")
+    g = np.zeros(1 << matching.size)
+    g[indices] = 1.0 / indices.size
+    g_hat = transform(CubeFunction(m=matching.size, values=g))
+    gm_hat = transform(CubeFunction(m=matching.n, values=_gm_values(indices, matching)))
+    lifted = lift_index_table(matching)
+    gaps = np.abs(g_hat.coefficients[lifted] - gm_hat.coefficients / (1 << matching.n))
+    return float(np.max(gaps))
+
+
+def gM_from_set(A: Iterable[BitString], matching: PerfectMatching) -> CubeFunction:
+    """Distribution of the edge parities when x is uniform over A."""
+    return CubeFunction(m=matching.n, values=_gm_values(_set_indices(A, matching), matching))
 
 
 def check_lift_identity(A: Iterable[BitString], matching: PerfectMatching) -> float:
@@ -224,21 +250,4 @@ def check_lift_identity(A: Iterable[BitString], matching: PerfectMatching) -> fl
     g is the uniform density on A inside {0,1}^2n and gM its edge-parity
     image distribution.
     """
-    elements = list(A)
-    if not elements:
-        raise ValueError("A must be nonempty")
-    if matching.size > _LIFT_MAX_DIM:
-        raise BudgetExceeded(f"lift check at 2n={matching.size} exceeds cap {_LIFT_MAX_DIM}")
-    n = matching.n
-    g = np.zeros(1 << matching.size)
-    for x in elements:
-        if x.length != matching.size:
-            raise DimensionMismatch(
-                f"set element of length {x.length} for a matching on {matching.size}"
-            )
-        g[x.to_index()] = 1.0 / len(elements)
-    g_hat = transform(CubeFunction(m=matching.size, values=g))
-    gm_hat = transform(gM_from_set(elements, matching))
-    lifted = lift_index_table(matching)
-    gaps = np.abs(g_hat.coefficients[lifted] - gm_hat.coefficients / (1 << n))
-    return float(np.max(gaps))
+    return _lift_identity_gap(_set_indices(A, matching), matching)

@@ -40,39 +40,53 @@ class CheckResult:
 # core identities
 
 
+def _index_bits(indices: np.ndarray, length: int) -> np.ndarray:
+    """Rows of 0/1 bits of cube-table indices; column i holds bit 2**i."""
+    return ((indices[:, None] >> np.arange(length)) & 1).astype(np.uint8)
+
+
 def check_core_identities(seed: int) -> CheckResult:
     """Edge-parity product vs explicit GF(2) matrix, adjointness, lift weight.
 
-    Exhaustive over every x and s at 2n <= 8 points, then random at n = 16.
+    Exhaustive over every x and s at 2n <= 8 points on the index tables of
+    :mod:`bhm.fourier`, then random at n = 16 on the value types.
     """
     failures = 0
     cases = 0
     for n in range(1, 5):
-        xs = [BitString.from_index(2 * n, i) for i in range(1 << (2 * n))]
-        x_rows = np.array([x.bits for x in xs])
+        xs = np.arange(1 << (2 * n))
+        ss = np.arange(1 << n)
+        x_rows = _index_bits(xs, 2 * n)
+        s_rows = _index_bits(ss, n)
         for pairs in combinatorics.enumerate_matchings(2 * n):
             matching = PerfectMatching(pairs)
-            images = np.array([apply_matching(matching, x).bits for x in xs])
+            matrix = matching.matrix()
+            image = fourier.matching_image_table(matching)
+            lift = fourier.lift_index_table(matching)
             # uint8 products wrap modulo 256, which keeps every parity mod 2
-            via_matrix = (x_rows @ matching.matrix().T) % 2
-            failures += int(np.count_nonzero(np.any(images != via_matrix, axis=1)))
-            cases += len(xs)
-            for s_idx in range(1 << n):
-                s = BitString.from_index(n, s_idx)
-                lifted = lift_character(matching, s)
-                failures += lifted.hamming_weight() != 2 * s.hamming_weight()
-                lhs = (images @ s.bits) % 2
-                rhs = (x_rows @ lifted.bits) % 2
-                failures += int(np.count_nonzero(lhs != rhs))
-                cases += len(xs)
+            wrong = _index_bits(image, n) != (x_rows @ matrix.T) % 2
+            failures += int(np.count_nonzero(wrong.any(axis=1)))
+            cases += xs.size
+            wrong = _index_bits(lift, 2 * n) != (s_rows @ matrix) % 2
+            failures += int(np.count_nonzero(wrong.any(axis=1)))
+            failures += int(np.count_nonzero(np.bitwise_count(lift) != 2 * np.bitwise_count(ss)))
+            # <Mx, s> = <x, lift s> over GF(2), one row per s
+            lhs = np.bitwise_count(image[None, :] & ss[:, None]) & 1
+            rhs = np.bitwise_count(xs[None, :] & lift[:, None]) & 1
+            failures += int(np.count_nonzero(lhs != rhs))
+            cases += ss.size * xs.size
     # spot-check a large size with random inputs
     rng = substream(seed, 0)
     for case in range(20):
         n = 16
         matching = instances.sample_matching(n, rng)
         x = BitString(rng.integers(0, 2, size=2 * n))
-        via_matrix = (matching.matrix() @ x.bits) % 2
-        failures += not np.array_equal(apply_matching(matching, x).bits, via_matrix)
+        matrix = matching.matrix()
+        image = apply_matching(matching, x)
+        failures += not np.array_equal(image.bits, (matrix @ x.bits) % 2)
+        failures += not np.array_equal(
+            lift_character(matching, image).bits, (matrix.T @ image.bits) % 2
+        )
         cases += 1
     return CheckResult("core_identities", failures == 0, details={"cases": cases})
 
@@ -173,8 +187,7 @@ def check_lift_identity(cases: int, seed: int) -> CheckResult:
         size = 1 << (2 * n)
         count = int(rng.integers(1, size + 1))
         picks = rng.choice(size, size=count, replace=False)
-        A = [BitString.from_index(2 * n, int(i)) for i in picks]
-        worst = max(worst, fourier.check_lift_identity(A, matching))
+        worst = max(worst, fourier._lift_identity_gap(picks, matching))
     return CheckResult("lift_identity", worst <= 1e-12, max_gap=worst)
 
 
@@ -322,13 +335,20 @@ def check_gamma(seed: int, mc_trials: int = 20_000) -> CheckResult:
 
 
 def check_density_normalization() -> CheckResult:
+    """mu_b sums to 1, in integers: sum_h C(n,h) a^(n-h) (q-a)^h == q^n with a/q = 3/4.
+
+    mu_b depends on y only through its popcount h, so density_mu is held
+    against that weight at one y per popcount.
+    """
+    a, q = instances.NOISE_BIAS.numerator, instances.NOISE_BIAS.denominator
     ok = True
     for n in range(1, 11):
-        for b in (0, 1):
-            total = sum(
-                instances.density_mu(b, BitString.from_index(n, i)) for i in range(1 << n)
-            )
-            ok &= total == 1
+        weights = [a ** (n - h) * (q - a) ** h for h in range(n + 1)]
+        ok &= sum(math.comb(n, h) * weights[h] for h in range(n + 1)) == q**n
+        for h in range(n + 1):
+            y = BitString.from_index(n, (1 << h) - 1)
+            ok &= instances.density_mu(0, y) == Fraction(weights[h], q**n)
+            ok &= instances.density_mu(1, y) == Fraction(weights[n - h], q**n)
     return CheckResult("density_normalization", ok)
 
 

@@ -1,0 +1,48 @@
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_trajectory", ROOT / "tools" / "bench_trajectory.py"
+)
+bench_trajectory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_trajectory)
+
+
+def _pair(parent, change):
+    return {
+        "parent": {"metrics": {"wall_s": {"value": parent, "unit": "s"}}},
+        "change": {"metrics": {"wall_s": {"value": change, "unit": "s"}}},
+    }
+
+
+def test_reads_the_verify_pairs_of_bench_15():
+    record = json.loads((ROOT / "BENCH_15.json").read_text())
+    row = bench_trajectory.summarize(record)["verify"]
+    assert (row.pairs, row.change_wins) == (10, 10)
+    assert (round(row.parent_median, 3), round(row.change_median, 3)) == (1.519, 0.882)
+
+
+def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
+    # ties count for neither side; a pair missing a reading is not a pair
+    (tmp_path / "BENCH_9.json").write_text(
+        json.dumps({"runs": {"verify": [_pair(2.0, 1.0), _pair(2.0, 2.0), _pair(4.0, 3.0)]}})
+    )
+    failed = {"parent": {"metrics": {}}, "change": {"metrics": {}}}
+    (tmp_path / "BENCH_10.json").write_text(
+        json.dumps({"runs": {"verify": [_pair(2.5, 1.0), _pair(2.5, 3.0), failed]}})
+    )
+    assert bench_trajectory.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[1:]] == [
+        ["BENCH_9.json", "verify", "3", "2", "2.000", "2.000", "1.000", "-"],
+        # parent median 2.5 over the previous file's change median 2.0
+        ["BENCH_10.json", "verify", "2", "1", "2.500", "2.000", "0.800", "1.250"],
+    ]
+
+
+def test_rejects_extra_arguments(capsys):
+    assert bench_trajectory.main(["a", "b"]) == 2
+    assert "usage" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bhm import classical, cli, fourier, quantum, verify
+from bhm import classical, cli, fourier, instances, quantum, verify
 from bhm.instances import BhmInstance, sample_T
 from bhm.quantum import message_qubits, run_repeated
 from bhm.seeding import substream
@@ -351,6 +351,46 @@ def test_classical_exact_check_fails_without_an_exact_optimum(monkeypatch):
         lambda n, c: dataclasses.replace(real(n, c), success_exact=None),
     )
     assert not verify.check_classical_exact().passed
+
+
+def test_core_identities_count_every_exhaustive_case():
+    # per matching on 2n <= 8 points: every x for the image table, every
+    # (s, x) for adjointness; then the 20 spot checks at n = 16
+    exhaustive = sum(
+        math.prod(range(1, 2 * n, 2)) * 4**n * (1 + 2**n) for n in range(1, 5)
+    )
+    result = verify.check_core_identities(1)
+    assert result.passed
+    assert result.details["cases"] == exhaustive + 20 == 465_872
+
+
+def _flip_one_entry(table_fn):
+    def flipped(matching):
+        table = table_fn(matching).copy()
+        table[0] ^= 1
+        return table
+
+    return flipped
+
+
+@pytest.mark.parametrize("table", ["matching_image_table", "lift_index_table"])
+def test_index_table_checks_fail_on_a_flipped_entry(monkeypatch, table):
+    assert verify.check_lift_identity(20, 1).passed
+    monkeypatch.setattr(fourier, table, _flip_one_entry(getattr(fourier, table)))
+    assert not verify.check_core_identities(1).passed
+    assert not verify.check_lift_identity(20, 1).passed
+
+
+def test_density_check_fails_on_a_flipped_entry(monkeypatch):
+    real = instances.density_mu
+    assert verify.check_density_normalization().passed
+    # mu_0 at y = 111 answered with mu_1's value
+    monkeypatch.setattr(
+        instances,
+        "density_mu",
+        lambda b, y: real(1 - b, y) if (b, y.to_text()) == (0, "111") else real(b, y),
+    )
+    assert not verify.check_density_normalization().passed
 
 
 def test_sweep_csv_and_determinism(tmp_path, capsys):

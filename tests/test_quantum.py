@@ -159,18 +159,26 @@ def test_projector_and_analytic_agree_in_distribution(n):
         assert np.max(np.abs(freq[live] - exact[live]) / sigma) <= 4.0
 
 
+def _projector_guesses(inst, stream, shots):
+    """Bob's guesses for ``shots`` single-shot runs, drawn in one projector batch.
+
+    ``stream()`` builds a fresh generator.  run_single draws the same shots
+    one at a time, so its first 500 runs on a twin stream must equal the
+    batch's first 500 guesses.
+    """
+    k = measure_matching_basis(prepare_state(inst.x), inst.matching, stream(), shots)
+    guesses = (k % 2) ^ inst.w.bits[k // 2]
+    twin = stream()
+    assert [run_single(inst, twin) for _ in range(500)] == guesses[:500].tolist()
+    return guesses
+
+
 def test_run_single_closed_form():
-    # with d disagreements, a zero-source guess is right with chance (n-d)/n;
-    # the shots are drawn in one projector batch, which run_single repeats shot
-    # for shot on a twin stream
+    # with d disagreements, a zero-source guess is right with chance (n-d)/n
     trials = 30_000
     for case, (n, d) in enumerate([(8, 0), (8, 2), (16, 7)]):
         inst = pinned_instance(n, d, source=0, rng=substream(508, case))
-        state = prepare_state(inst.x)
-        k = measure_matching_basis(state, inst.matching, substream(508, 100 + case), trials)
-        guesses = (k % 2) ^ inst.w.bits[k // 2]
-        twin = substream(508, 100 + case)
-        assert [run_single(inst, twin) for _ in range(500)] == guesses[:500].tolist()
+        guesses = _projector_guesses(inst, lambda: substream(508, 100 + case), trials)
         hits = int((guesses == 0).sum())
         p = (n - d) / n
         if d == 0:
@@ -182,7 +190,8 @@ def test_run_single_closed_form():
 def test_run_single_projector_path_agrees():
     inst = pinned_instance(4, 1, source=0, rng=substream(509, 0))
     trials = 20_000
-    hits = sum(run_single(inst, substream(509, 1, t)) == 0 for t in range(trials))
+    guesses = _projector_guesses(inst, lambda: substream(509, 1), trials)
+    hits = int((guesses == 0).sum())
     p = 0.75
     assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
@@ -246,12 +255,11 @@ def test_run_repeated_methods_agree():
     hits = _repeated_hits(inst, 3, trials, lambda t: substream(513, 1, t))
     assert abs(hits / trials - p) <= band
 
-    def projector_vote(rng):
-        # one projector run_single per shot: the oracle route for majority_votes
-        ones = sum(run_single(inst, rng) for _ in range(3))
-        return 1 if 2 * ones > 3 else 0
-
-    hits = sum(projector_vote(substream(513, 1, t)) == 1 for t in range(trials))
+    # the projector votes, the oracle route for majority_votes: each run is
+    # three successive shots of one batch
+    shots = _projector_guesses(inst, lambda: substream(513, 2), 3 * trials)
+    votes = 2 * shots.reshape(trials, 3).sum(axis=1) > 3
+    hits = int(np.count_nonzero(votes))
     assert abs(hits / trials - p) <= band
 
 

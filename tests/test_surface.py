@@ -24,6 +24,9 @@ ALLOWED = {
     "instances.classify_promise": (
         "object-level promise classification; tests hold the array kernel against it"
     ),
+    "fourier.gM_from_set": (
+        "BitString front end of the lift-identity route that the README documents"
+    ),
 }
 
 
