@@ -78,16 +78,28 @@ class FourierSpectrum:
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, O(m 2^m) butterfly."""
-    out = values.astype(np.float64).copy()
-    h = 1
-    while h < out.size:
-        pairs = out.reshape(-1, 2, h)
-        top = pairs[:, 0, :].copy()
-        pairs[:, 0, :] = top + pairs[:, 1, :]
-        pairs[:, 1, :] = top - pairs[:, 1, :]
-        h *= 2
-    return out
+    """Unnormalized Walsh-Hadamard transform, O(m 2^m), into a fresh float64 array.
+
+    Constant-geometry butterfly: every stage adds and subtracts the
+    adjacent pairs (2j, 2j+1) into the two halves of the other buffer.
+    That rotates the index right by one bit, so stage b pairs the entries
+    that differ in bit b, and after m stages the order is natural again.
+    Each coefficient comes from the same operands, in the same order, as
+    in the in-place stride butterfly, so the result is bit for bit the
+    same.  ``values`` is only read.
+    """
+    src = np.asarray(values, dtype=np.float64)
+    size = src.size
+    if size == 1:
+        return src.copy()
+    half = size >> 1
+    buffers = (np.empty(size), np.empty(size))
+    for stage in range(size.bit_length() - 1):
+        dst = buffers[stage & 1]
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src = dst
+    return src
 
 
 def _popcounts(size: int) -> np.ndarray:
@@ -98,7 +110,9 @@ def transform(f: CubeFunction) -> FourierSpectrum:
     """Fourier coefficients of f under the 2^-m normalization."""
     if f.m > DEFAULT_MAX_DIM:
         raise BudgetExceeded(f"transform at m={f.m} exceeds cap {DEFAULT_MAX_DIM}")
-    return FourierSpectrum(m=f.m, coefficients=_fwht(f.values) / (1 << f.m))
+    coefficients = _fwht(f.values)
+    coefficients /= 1 << f.m  # a power of two: the same bits as a fresh quotient
+    return FourierSpectrum(m=f.m, coefficients=coefficients)
 
 
 def inverse_transform(spectrum: FourierSpectrum) -> CubeFunction:
@@ -162,28 +176,44 @@ def check_kkl(f: CubeFunction, delta: float) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs + 1e-12
 
 
+def _check_table_dim(m: int) -> None:
+    """Refuse a 2^m table above :data:`DEFAULT_MAX_DIM` before anything is allocated."""
+    if m > DEFAULT_MAX_DIM:
+        raise BudgetExceeded(f"table on {{0,1}}^{m} exceeds cap {DEFAULT_MAX_DIM}")
+
+
 def mu_difference(n: int) -> CubeFunction:
-    """Table of mu_0(y) - mu_1(y), the signed gap of the two biased products."""
+    """Table of mu_0(y) - mu_1(y), the signed gap of the two biased products.
+
+    Both densities depend on y only through its weight, so the n + 1
+    values are computed once and gathered by popcount.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    _check_table_dim(n)
     p = float(NOISE_BIAS)
-    ones = _popcounts(1 << n)
+    ones = np.arange(n + 1)
     mu0 = p ** (n - ones) * (1 - p) ** ones
-    return CubeFunction(m=n, values=mu0 - mu0[::-1])  # mu_1 is mu_0 of the complement
+    by_weight = mu0 - mu0[::-1]  # mu_1 is mu_0 of the complement, of weight n - k
+    return CubeFunction(m=n, values=by_weight[_popcounts(1 << n)])
 
 
 def closed_form_spectrum_table(n: int) -> np.ndarray:
     """Coefficients of mu_0 - mu_1 over all 2^n characters s.
 
     The coefficient at s is 2 (2p - 1)^k / 2^n, p = NOISE_BIAS, when the
-    weight k of s is odd, else 0.
+    weight k of s is odd, else 0; it is computed once per weight and
+    gathered by popcount.
     """
-    ks = _popcounts(1 << n)
-    return np.where(ks % 2 == 1, 2.0 * float(2 * NOISE_BIAS - 1) ** ks / 2.0**n, 0.0)
+    _check_table_dim(n)
+    ks = np.arange(n + 1)
+    by_weight = np.where(ks % 2 == 1, 2.0 * float(2 * NOISE_BIAS - 1) ** ks / 2.0**n, 0.0)
+    return by_weight[_popcounts(1 << n)]
 
 
 def matching_image_table(matching: PerfectMatching) -> np.ndarray:
     """Map every x-index on {0,1}^2n to the index of its edge-parity image."""
+    _check_table_dim(matching.size)
     size = 1 << matching.size
     xs = np.arange(size, dtype=np.int64)
     out = np.zeros(size, dtype=np.int64)
@@ -194,7 +224,11 @@ def matching_image_table(matching: PerfectMatching) -> np.ndarray:
 
 
 def lift_index_table(matching: PerfectMatching) -> np.ndarray:
-    """Map every character index s on {0,1}^n to its lifted index on {0,1}^2n."""
+    """Map every character index s on {0,1}^n to its lifted index on {0,1}^2n.
+
+    Capped like :func:`matching_image_table`, whose 2^2n indices it addresses.
+    """
+    _check_table_dim(matching.size)
     n = matching.n
     masks = (1 << matching.pairs_array()).sum(axis=1)
     ss = np.arange(1 << n, dtype=np.int64)
@@ -203,7 +237,11 @@ def lift_index_table(matching: PerfectMatching) -> np.ndarray:
 
 
 def _set_indices(A: Iterable[BitString], matching: PerfectMatching) -> np.ndarray:
-    """Cube-table indices of the elements of A, checked against the matching's 2n points."""
+    """Cube-table indices of the elements of A, checked against the matching's 2n points.
+
+    The indices address 2^2n tables, so the table cap is checked first.
+    """
+    _check_table_dim(matching.size)
     indices = []
     for x in A:
         if x.length != matching.size:

@@ -41,6 +41,23 @@ def naive_walsh_coefficients(values: np.ndarray) -> np.ndarray:
     return out / size
 
 
+def stride_fwht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform by the in-place stride butterfly.
+
+    Stage b replaces each pair (i, i + 2^b), i with bit b clear, by its
+    sum and difference; the fast transform must match it byte for byte.
+    """
+    out = values.astype(np.float64).copy()
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        top = pairs[:, 0, :].copy()
+        pairs[:, 0, :] = top + pairs[:, 1, :]
+        pairs[:, 1, :] = top - pairs[:, 1, :]
+        h *= 2
+    return out
+
+
 def gamma_monte_carlo_oracle(z: BitString, trials: int, rng: np.random.Generator) -> int:
     """Uniform matchings, one ``permutation`` call each, that match z's support internally."""
     mask = np.array(z.bits, dtype=bool)

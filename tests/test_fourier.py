@@ -5,9 +5,11 @@ import pytest
 
 from bhm.core import BitString, PerfectMatching, apply_matching
 from bhm.errors import BudgetExceeded, DimensionMismatch
+from bhm import fourier
 from bhm.fourier import (
     DEFAULT_MAX_DIM,
     CubeFunction,
+    _fwht,
     check_kkl,
     check_l1_l2,
     check_lift_identity,
@@ -22,10 +24,10 @@ from bhm.fourier import (
     mu_difference,
     transform,
 )
-from bhm.instances import density_mu, sample_matching
+from bhm.instances import NOISE_BIAS, density_mu, sample_matching
 from bhm.seeding import substream
 
-from helpers import naive_walsh_coefficients
+from helpers import naive_walsh_coefficients, stride_fwht
 
 
 def random_table(m, rng):
@@ -85,6 +87,39 @@ def test_transform_cap():
     f = CubeFunction(m=m, values=np.ones(1 << m))
     with pytest.raises(BudgetExceeded, match=f"transform at m={m} exceeds cap"):
         transform(f)
+
+
+@pytest.mark.parametrize("m", list(range(15)) + [20])
+def test_fwht_is_byte_equal_to_the_stride_oracle(m):
+    f = random_table(m, substream(415, m))
+    expected = stride_fwht(f.values)
+    assert _fwht(f.values).tobytes() == expected.tobytes()
+    assert transform(f).coefficients.tobytes() == (expected / (1 << m)).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_fwht_reads_its_input_only(m):
+    values = substream(416, m).uniform(-1.0, 1.0, size=1 << m)
+    before = values.copy()
+    out = _fwht(values)
+    assert np.array_equal(values, before)
+    assert not np.shares_memory(out, values)
+    values.setflags(write=False)
+    frozen = _fwht(values)
+    assert frozen.tobytes() == out.tobytes()
+    assert not np.shares_memory(frozen, values)
+    frozen[0] = 7.0  # a fresh, writable table
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_fwht_of_integer_tables_is_the_sylvester_product(m):
+    hadamard = np.ones((1, 1), dtype=np.int64)
+    for _ in range(m):
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    values = substream(417, m).integers(-50, 51, size=1 << m)
+    out = _fwht(values)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, hadamard @ values)
 
 
 def test_convolution_identity_and_point_masses():
@@ -206,6 +241,27 @@ def test_closed_form_matches_transform(n):
     assert table[-1] == (2.0 / 2 ** (2 * n) if n % 2 else 0.0)
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_weight_indexed_tables_match_the_power_formulas(n):
+    # oracle: one power per table entry, the elementwise route the weight gather replaces
+    p = float(NOISE_BIAS)
+    ones = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    mu0 = p ** (n - ones) * (1 - p) ** ones
+    assert mu_difference(n).values.tobytes() == (mu0 - mu0[::-1]).tobytes()
+    spectrum = np.where(ones % 2 == 1, 2.0 * float(2 * NOISE_BIAS - 1) ** ones / 2.0**n, 0.0)
+    assert closed_form_spectrum_table(n).tobytes() == spectrum.tobytes()
+
+
+@pytest.mark.parametrize("table", [mu_difference, closed_form_spectrum_table])
+def test_weight_indexed_tables_refuse_above_the_cap(monkeypatch, table):
+    def no_tables(size):
+        raise AssertionError(f"built a table of {size} entries")
+
+    monkeypatch.setattr(fourier, "_popcounts", no_tables)
+    with pytest.raises(BudgetExceeded, match=f"{DEFAULT_MAX_DIM + 1} exceeds cap"):
+        table(DEFAULT_MAX_DIM + 1)
+
+
 def test_mu_difference_matches_exact_densities():
     for n in (1, 2, 5):
         f = mu_difference(n)
@@ -284,6 +340,17 @@ def test_lift_identity_full_cube_and_singleton():
     assert np.allclose(transform(CubeFunction(m=4, values=g)).coefficients, 1 / 16.0)
     gm = gM_from_set(origin, matching)
     assert np.allclose(transform(gm).coefficients, 1 / 4.0)
+
+
+@pytest.mark.parametrize("size", [DEFAULT_MAX_DIM + 2, 64])
+def test_index_tables_refuse_above_the_cap(size):
+    matching = PerfectMatching(tuple((k, k + 1) for k in range(1, size, 2)))
+    for table in (matching_image_table, lift_index_table):
+        with pytest.raises(BudgetExceeded, match=rf"\^{size} exceeds cap"):
+            table(matching)
+    for x in (BitString.zeros(size), BitString.from_text("1" * size)):
+        with pytest.raises(BudgetExceeded):
+            gM_from_set([x], matching)
 
 
 def test_lift_identity_cap_and_validation():
