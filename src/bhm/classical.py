@@ -29,6 +29,7 @@ from .fourier import _popcounts, matching_image_table
 from .instances import (  # noqa: F401
     NOISE_BIAS,
     _count_law,
+    _noise_weights,
     _sample_source_and_count,
     _sample_t_arrays,
 )
@@ -263,14 +264,13 @@ def _joint_mass(n: int) -> tuple[np.ndarray, int]:
     """The mixture's exact joint mass over (x, matching, source, w), scaled to integers.
 
     Returns (mass, denom) with mass[x, matching, b, w] = q^n mu_b(w xor Mx),
-    q the denominator of :data:`NOISE_BIAS` and matchings in
+    q^n the scale of :func:`_noise_weights` and matchings in
     :func:`enumerate_matchings` order, so that the mixture probability of a
     cell is mass / denom.  :data:`ENUMERATION_BUDGET` is checked first.
     """
     _check_enumeration_budget(n)
-    ones = _popcounts(1 << n)
-    agree, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
-    mu0 = agree ** (n - ones) * (q - agree) ** ones
+    weights, scale = _noise_weights(n)
+    mu0 = np.array(weights, dtype=np.int64)[_popcounts(1 << n)]
     mu = np.stack([mu0, mu0[::-1]])  # mu_1 is mu_0 at the complemented pattern
     images = np.stack(
         [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)],
@@ -278,7 +278,7 @@ def _joint_mass(n: int) -> tuple[np.ndarray, int]:
     )
     noise = images[:, :, None] ^ np.arange(1 << n)  # [x, matching, w]
     mass = np.moveaxis(mu[:, noise], 0, 2)
-    return mass, 2 * images.size * q**n
+    return mass, 2 * images.size * scale
 
 
 def _winning_mass(joint: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BitString, PerfectMatching
+from .core import PerfectMatching
 from .errors import BudgetExceeded, DimensionMismatch
-from .instances import NOISE_BIAS
+from .instances import NOISE_BIAS, _noise_weights
 
 #: Largest cube dimension for which 2^m tables are built.
 DEFAULT_MAX_DIM = 20
@@ -191,9 +191,10 @@ def mu_difference(n: int) -> CubeFunction:
     if n < 1:
         raise ValueError("n must be positive")
     _check_table_dim(n)
-    p = float(NOISE_BIAS)
-    ones = np.arange(n + 1)
-    mu0 = p ** (n - ones) * (1 - p) ** ones
+    weights, scale = _noise_weights(n)
+    # exact at bias 3/4: under the cap every weight is at most 3^20 < 2^53,
+    # and the scale 4^n is a power of two
+    mu0 = np.array(weights, dtype=np.float64) / scale
     by_weight = mu0 - mu0[::-1]  # mu_1 is mu_0 of the complement, of weight n - k
     return CubeFunction(m=n, values=by_weight[_popcounts(1 << n)])
 
@@ -236,56 +237,22 @@ def lift_index_table(matching: PerfectMatching) -> np.ndarray:
     return bits @ masks  # edge masks are disjoint, so sum == bitwise or
 
 
-def _set_indices(A: Iterable[BitString], matching: PerfectMatching) -> np.ndarray:
-    """Cube-table indices of the elements of A, checked against the matching's 2n points.
-
-    The indices address 2^2n tables, so the table cap is checked first.
-    """
-    _check_table_dim(matching.size)
-    indices = []
-    for x in A:
-        if x.length != matching.size:
-            raise DimensionMismatch(
-                f"set element of length {x.length} for a matching on {matching.size}"
-            )
-        indices.append(x.to_index())
-    if not indices:
-        raise ValueError("A must be nonempty")
-    return np.array(indices, dtype=np.int64)
-
-
-def _gm_values(indices: np.ndarray, matching: PerfectMatching) -> np.ndarray:
-    """Edge-parity image distribution of the uniform density on the index set."""
-    image = matching_image_table(matching)
-    return np.bincount(image[indices], minlength=1 << matching.n) / indices.size
-
-
 def _lift_identity_gap(indices: np.ndarray, matching: PerfectMatching) -> float:
     """Max gap of ghat(lift(s)) = 2^-n gMhat(s) over all s, for A given by its indices.
 
-    g is 1/|A| on each index of A inside {0,1}^2n; the cap is checked
-    before any 2^2n table is built.
+    g is 1/|A| on each index of A inside {0,1}^2n, and gM, the
+    distribution of the edge parities of a uniform x in A, is the
+    histogram of their images over |A|.  The cap is checked before any
+    2^2n table is built.
     """
     if matching.size > _LIFT_MAX_DIM:
         raise BudgetExceeded(f"lift check at 2n={matching.size} exceeds cap {_LIFT_MAX_DIM}")
     g = np.zeros(1 << matching.size)
     g[indices] = 1.0 / indices.size
+    images = matching_image_table(matching)[indices]
+    gm = np.bincount(images, minlength=1 << matching.n) / indices.size
     g_hat = transform(CubeFunction(m=matching.size, values=g))
-    gm_hat = transform(CubeFunction(m=matching.n, values=_gm_values(indices, matching)))
+    gm_hat = transform(CubeFunction(m=matching.n, values=gm))
     lifted = lift_index_table(matching)
     gaps = np.abs(g_hat.coefficients[lifted] - gm_hat.coefficients / (1 << matching.n))
     return float(np.max(gaps))
-
-
-def gM_from_set(A: Iterable[BitString], matching: PerfectMatching) -> CubeFunction:
-    """Distribution of the edge parities when x is uniform over A."""
-    return CubeFunction(m=matching.n, values=_gm_values(_set_indices(A, matching), matching))
-
-
-def check_lift_identity(A: Iterable[BitString], matching: PerfectMatching) -> float:
-    """Max gap of ghat(lift(s)) = 2^-n gMhat(s) over all s.
-
-    g is the uniform density on A inside {0,1}^2n and gM its edge-parity
-    image distribution.
-    """
-    return _lift_identity_gap(_set_indices(A, matching), matching)

@@ -108,15 +108,19 @@ def _biased_bits(b: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _sample_t_arrays(
     n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One draw from the generating mixture as raw arrays (x, pairs, w, b)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """One draw from the generating mixture as raw arrays (x, pairs, w, b, noise).
+
+    w is the edge parities xor noise, so noise is the draw's disagreement
+    bits: edge parities xor w.
+    """
     x = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
     pairs = _uniform_pairs(n, rng)
     b = int(rng.integers(0, 2))
     noise = _biased_bits(b, n, rng)
     parities = x[pairs[:, 0]] ^ x[pairs[:, 1]]
     w = parities ^ noise
-    return x, pairs, w, b
+    return x, pairs, w, b, noise
 
 
 def _classify_counts(n: int, d: int) -> PromiseClass:
@@ -131,13 +135,12 @@ def _classify_counts(n: int, d: int) -> PromiseClass:
 def _sample_promise_arrays(
     n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Rejection-sample until the promise holds; also returns parities xor w."""
+    """Rejection-sample until the promise holds; returns the accepted draw as it is."""
     while True:
-        x, pairs, w, b = _sample_t_arrays(n, rng)
-        disagree = x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ w
-        d = int(np.count_nonzero(disagree))
+        draw = _sample_t_arrays(n, rng)
+        d = int(np.count_nonzero(draw[-1]))
         if _classify_counts(n, d) is not PromiseClass.OUTSIDE:
-            return x, pairs, w, b, disagree
+            return draw
 
 
 #: Chance that one edge's observation disagrees with its parity, by source bit.
@@ -160,6 +163,18 @@ def _sample_source_and_count(
         d = int(rng.binomial(n, _DISAGREE_PROB[b]))
         if not restrict_promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE:
             return b, d
+
+
+def _noise_weights(n: int) -> tuple[list[int], int]:
+    """The noise law of n observations in whole numbers, by Hamming weight.
+
+    Returns ``weights`` with ``weights[h] = a^(n-h) (q-a)^h`` for h = 0..n,
+    and ``scale = q^n``; p = a/q is :data:`NOISE_BIAS`.  A string y of
+    weight h has mu_0(y) = weights[h] / scale, and mu_1 is mu_0 reversed by
+    weight: mu_1(y) = weights[n - h] / scale.
+    """
+    a, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
+    return [a ** (n - h) * (q - a) ** h for h in range(n + 1)], q**n
 
 
 def _count_law(n: int, b: int, promise: bool) -> tuple[dict[int, int], int]:
@@ -207,15 +222,16 @@ def density_mu(b: int, y: BitString) -> Fraction:
     """Exact probability of y under the product of 3/4-biased bits toward b."""
     if b not in (0, 1):
         raise ValueError(f"b must be 0 or 1, got {b!r}")
-    agree = int(np.count_nonzero(y.bits == b))
-    return NOISE_BIAS**agree * (1 - NOISE_BIAS) ** (y.length - agree)
+    weights, scale = _noise_weights(y.length)
+    return Fraction(weights[int(np.count_nonzero(y.bits != b))], scale)
 
 
 def sample_T(n: int, rng: np.random.Generator) -> BhmInstance:
     """One instance from the generating mixture, with its source bit recorded."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _instance_from_arrays(*_sample_t_arrays(n, rng))
+    x, pairs, w, b, _ = _sample_t_arrays(n, rng)
+    return _instance_from_arrays(x, pairs, w, b)
 
 
 def sample_promise_instance(n: int, rng: np.random.Generator) -> BhmInstance:

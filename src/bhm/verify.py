@@ -255,9 +255,11 @@ def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
     return CheckResult("quantum_mc_vs_exact", worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"})
 
 
-def check_amplification(
-    seed: int, rs: tuple[int, ...] = (1, 3, 5, 9, 15), trials: int = 20_000
-) -> CheckResult:
+#: Odd repetition counts r at which :func:`check_amplification` votes.
+AMPLIFICATION_REPS = (1, 3, 5, 9, 15)
+
+
+def check_amplification(seed: int, trials: int = 20_000) -> CheckResult:
     """Majority-vote MC against the exact binomial tail at single-shot 2/3."""
     inst = instances.BhmInstance(
         x=BitString.zeros(6),
@@ -269,7 +271,7 @@ def check_amplification(
     disagree = quantum._disagreement_bits(inst)
     worst_z = 0.0
     previous = Fraction(0)
-    for i, r in enumerate(rs):
+    for i, r in enumerate(AMPLIFICATION_REPS):
         exact = quantum.exact_success(inst, r)
         ok &= exact >= previous
         previous = exact
@@ -335,20 +337,20 @@ def check_gamma(seed: int, mc_trials: int = 20_000) -> CheckResult:
 
 
 def check_density_normalization() -> CheckResult:
-    """mu_b sums to 1, in integers: sum_h C(n,h) a^(n-h) (q-a)^h == q^n with a/q = 3/4.
+    """mu_b sums to 1, in integers: sum_h C(n,h) weights[h] == scale.
 
+    ``(weights, scale)`` is the noise law of :func:`instances._noise_weights`.
     mu_b depends on y only through its popcount h, so density_mu is held
     against that weight at one y per popcount.
     """
-    a, q = instances.NOISE_BIAS.numerator, instances.NOISE_BIAS.denominator
     ok = True
     for n in range(1, 11):
-        weights = [a ** (n - h) * (q - a) ** h for h in range(n + 1)]
-        ok &= sum(math.comb(n, h) * weights[h] for h in range(n + 1)) == q**n
+        weights, scale = instances._noise_weights(n)
+        ok &= sum(math.comb(n, h) * weights[h] for h in range(n + 1)) == scale
         for h in range(n + 1):
             y = BitString.from_index(n, (1 << h) - 1)
-            ok &= instances.density_mu(0, y) == Fraction(weights[h], q**n)
-            ok &= instances.density_mu(1, y) == Fraction(weights[n - h], q**n)
+            ok &= instances.density_mu(0, y) == Fraction(weights[h], scale)
+            ok &= instances.density_mu(1, y) == Fraction(weights[n - h], scale)
     return CheckResult("density_normalization", ok)
 
 
@@ -356,7 +358,8 @@ def check_promise_rates(seed: int, trials: int = 10_000) -> CheckResult:
     """Empirical outside-rate against the exact binomial tail at n = 50, 100; decreasing in n.
 
     Each trial makes the draws of :func:`instances.sample_T` on the array
-    kernel and classifies its disagreement count, building no objects.
+    kernel and classifies the count of its disagreement bits, building no
+    objects.
     """
     worst_z = 0.0
     rates = []
@@ -364,8 +367,8 @@ def check_promise_rates(seed: int, trials: int = 10_000) -> CheckResult:
         exact = float(instances.promise_outside_probability(n))
         outside = 0
         for t in range(trials):
-            x, pairs, w, _ = instances._sample_t_arrays(n, substream(seed, 12, i, t))
-            d = int(np.count_nonzero(x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ w))
+            *_, disagree = instances._sample_t_arrays(n, substream(seed, 12, i, t))
+            d = int(np.count_nonzero(disagree))
             outside += instances._classify_counts(n, d) is instances.PromiseClass.OUTSIDE
         rate = outside / trials
         rates.append(rate)

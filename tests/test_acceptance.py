@@ -243,7 +243,7 @@ def test_criterion_10_promise_violation_rate():
         exact = float(promise_outside_probability(n))
         outside = 0
         for t in range(trials):
-            x, pairs, w, _ = _sample_t_arrays(n, substream(SEED_PROMISE, n, t))
+            x, pairs, w, _, _ = _sample_t_arrays(n, substream(SEED_PROMISE, n, t))
             d = int(np.count_nonzero((x[pairs[:, 0]] ^ x[pairs[:, 1]]) != w))
             outside += 3 * d > n and 3 * d < 2 * n
         rate = outside / trials

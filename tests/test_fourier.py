@@ -12,12 +12,10 @@ from bhm.fourier import (
     _fwht,
     check_kkl,
     check_l1_l2,
-    check_lift_identity,
     check_parseval,
     closed_form_spectrum_table,
     convolve,
     convolve_spectral,
-    gM_from_set,
     inverse_transform,
     lift_index_table,
     matching_image_table,
@@ -271,37 +269,6 @@ def test_mu_difference_matches_exact_densities():
             assert f.values[idx] == float(exact)
 
 
-def test_gm_from_set_basics():
-    matching = PerfectMatching(((1, 4), (2, 3)))
-    full = [BitString.from_index(4, i) for i in range(16)]
-    gm = gM_from_set(full, matching)
-    assert np.allclose(gm.values, 0.25)
-    x = BitString.from_text("1010")
-    point = gM_from_set([x], matching)
-    expected = np.zeros(4)
-    expected[apply_matching(matching, x).to_index()] = 1.0
-    assert np.array_equal(point.values, expected)
-    with pytest.raises(ValueError):
-        gM_from_set([], matching)
-
-
-def test_gm_from_set_counts_are_rational():
-    rng = substream(410, 0)
-    n = 5
-    matching = sample_matching(n, rng)
-    size = 1 << (2 * n)
-    picks = rng.choice(size, size=300, replace=False)
-    A = [BitString.from_index(2 * n, int(i)) for i in picks]
-    gm = gM_from_set(A, matching)
-    total = sum(Fraction(float(v)).limit_denominator(10**6) for v in gm.values)
-    assert total == 1
-    # histogram route: counts over images divided by |A|
-    counts = np.zeros(1 << n, dtype=int)
-    for x in A:
-        counts[apply_matching(matching, x).to_index()] += 1
-    assert np.array_equal(gm.values, counts / len(A))
-
-
 def test_matching_image_table_matches_object_route():
     rng = substream(411, 0)
     for n in (2, 3, 4):
@@ -326,20 +293,42 @@ def test_lift_index_table_matches_object_route():
 
 def test_lift_identity_full_cube_and_singleton():
     matching = PerfectMatching(((1, 3), (2, 4)))
-    full = [BitString.from_index(4, i) for i in range(16)]
-    assert check_lift_identity(full, matching) <= 1e-15
+    full = np.arange(16)
+    assert fourier._lift_identity_gap(full, matching) <= 1e-15
+    # the full cube's edge parities are uniform
+    images = matching_image_table(matching)
+    assert np.array_equal(np.bincount(images[full], minlength=4), np.full(4, 4))
     g_hat = transform(CubeFunction(m=4, values=np.full(16, 1 / 16.0))).coefficients
     assert g_hat[0] == pytest.approx(1 / 16.0)
     assert np.max(np.abs(g_hat[1:])) <= 1e-15
 
-    origin = [BitString.zeros(4)]
-    assert check_lift_identity(origin, matching) <= 1e-15
+    origin = np.array([0])
+    assert fourier._lift_identity_gap(origin, matching) <= 1e-15
     # both sides explicitly: ghat(z) = 2^-2n for all z, gMhat(s) = 2^-n
     g = np.zeros(16)
     g[0] = 1.0
     assert np.allclose(transform(CubeFunction(m=4, values=g)).coefficients, 1 / 16.0)
-    gm = gM_from_set(origin, matching)
-    assert np.allclose(transform(gm).coefficients, 1 / 4.0)
+    gm = np.zeros(4)
+    gm[images[0]] = 1.0
+    assert np.allclose(transform(CubeFunction(m=2, values=gm)).coefficients, 1 / 4.0)
+
+
+def test_lift_identity_against_the_histogram_route():
+    # gM by the object route: the images of A counted one x at a time, over |A|
+    rng = substream(410, 0)
+    n = 5
+    matching = sample_matching(n, rng)
+    picks = rng.choice(1 << (2 * n), size=300, replace=False)
+    counts = np.zeros(1 << n, dtype=int)
+    for i in picks:
+        counts[apply_matching(matching, BitString.from_index(2 * n, int(i))).to_index()] += 1
+    assert sum(Fraction(int(c), picks.size) for c in counts) == 1
+    g = np.zeros(1 << (2 * n))
+    g[picks] = 1.0 / picks.size
+    g_hat = transform(CubeFunction(m=2 * n, values=g)).coefficients
+    gm_hat = transform(CubeFunction(m=n, values=counts / picks.size)).coefficients
+    assert np.max(np.abs(g_hat[lift_index_table(matching)] - gm_hat / 2**n)) <= 1e-15
+    assert fourier._lift_identity_gap(picks, matching) <= 1e-15
 
 
 @pytest.mark.parametrize("size", [DEFAULT_MAX_DIM + 2, 64])
@@ -348,15 +337,14 @@ def test_index_tables_refuse_above_the_cap(size):
     for table in (matching_image_table, lift_index_table):
         with pytest.raises(BudgetExceeded, match=rf"\^{size} exceeds cap"):
             table(matching)
-    for x in (BitString.zeros(size), BitString.from_text("1" * size)):
-        with pytest.raises(BudgetExceeded):
-            gM_from_set([x], matching)
 
 
-def test_lift_identity_cap_and_validation():
-    rng = substream(414, 0)
-    matching = sample_matching(7, rng)
-    with pytest.raises(BudgetExceeded):
-        check_lift_identity([BitString.zeros(14)], matching)
-    with pytest.raises(ValueError):
-        check_lift_identity([], sample_matching(2, rng))
+def test_lift_identity_cap_and_validation(monkeypatch):
+    def no_tables(matching):
+        raise AssertionError("built a 2^2n table")
+
+    monkeypatch.setattr(fourier, "matching_image_table", no_tables)
+    monkeypatch.setattr(fourier, "lift_index_table", no_tables)
+    matching = sample_matching(7, substream(414, 0))
+    with pytest.raises(BudgetExceeded, match="2n=14 exceeds cap 12"):
+        fourier._lift_identity_gap(np.array([0]), matching)

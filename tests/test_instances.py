@@ -15,7 +15,10 @@ from bhm.instances import (
     PromiseClass,
     _biased_bits,
     _count_law,
+    _noise_weights,
+    _sample_promise_arrays,
     _sample_source_and_count,
+    _sample_t_arrays,
     classify_promise,
     density_mu,
     pinned_instance,
@@ -210,6 +213,13 @@ def test_classify_promise_thresholds(n, d, expected):
     assert classify_promise(inst) is expected
 
 
+@pytest.mark.parametrize("sampler", [_sample_t_arrays, _sample_promise_arrays])
+def test_sampled_noise_is_the_disagreement_bits(sampler):
+    for t in range(200):
+        x, pairs, w, _, noise = sampler(9, substream(312, t))
+        assert np.array_equal(noise, x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ w)
+
+
 def test_sample_promise_instance_never_outside():
     for t in range(200):
         inst = sample_promise_instance(3, substream(310, t))
@@ -239,13 +249,21 @@ LAW_NS = [*range(1, 201), 256, 512, 1024, 2048]
 
 
 def test_count_law_weights_are_the_binomial_closed_form():
-    # weights q^n P(d | b) = C(n, d) u^d v^(n-d), u/q the chance an edge disagrees
+    # weights q^n P(d | b) = C(n, d) u^d v^(n-d), u/q the chance an edge disagrees;
+    # that is C(n, d) noise patterns of weight d, each weighing what the
+    # noise law gives mu_b at one of them
     a, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
     for n in LAW_NS:
+        pattern, scale = _noise_weights(n)
+        assert scale == q**n
         for b in (0, 1):
             u = a if b else q - a
             full = {d: math.comb(n, d) * u**d * (q - u) ** (n - d) for d in range(n + 1)}
             assert _count_law(n, b, promise=False) == (full, q**n)
+            by_pattern = {
+                d: math.comb(n, d) * pattern[n - d if b else d] for d in range(n + 1)
+            }
+            assert by_pattern == full
             kept = {d: w for d, w in full.items() if 3 * d <= n or 3 * d >= 2 * n}
             assert _count_law(n, b, promise=True) == (kept, sum(kept.values()))
 

@@ -1,10 +1,13 @@
 """Every public name in ``bhm`` has a caller inside the package.
 
 A public module-level function or class, or a public method of a
-module-level class, that no code in ``src/bhm`` references (as a name or
-an attribute) outside its own definition is surface that only tests
-reach.  Such a name is either deleted or listed below with the reason it
-stays.
+module-level class, that no code in ``src/bhm`` references outside its
+own definition is surface that only tests reach.  Such a name is either
+deleted or listed below with the reason it stays.
+
+A definition ``f`` of module ``N`` is referenced by ``N.f`` anywhere, and
+by a bare ``f`` only inside ``N`` or inside a module that imports ``f``
+from ``N``; a method is referenced by any attribute of its name.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ ALLOWED = {
     "instances.classify_promise": (
         "object-level promise classification; tests hold the array kernel against it"
     ),
-    "fourier.gM_from_set": (
-        "BitString front end of the lift-identity route that the README documents"
-    ),
+    "core.BitString.to_index": "the documented way to index cube tables",
 }
 
 
@@ -48,23 +49,38 @@ def _definitions(module: str, tree: ast.Module):
                     )
 
 
-def _references(tree: ast.Module):
-    """(name, line) of every name and attribute the module reads or writes."""
+def _references(module: str, tree: ast.Module):
+    """(key, line) of every name and attribute the module reads or writes.
+
+    A key is (N, name) for each module N whose definition the reference
+    can mean, and (".", name) for any attribute, which is how a method is
+    referenced.
+    """
+    imported = {
+        alias.name: node.module.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.level == 1
+        for alias in node.names
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield (module, node.id), node.lineno
+            if node.id in imported:
+                yield (imported[node.id], node.id), node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield (".", node.attr), node.lineno
+            if isinstance(node.value, ast.Name):
+                yield (node.value.id, node.attr), node.lineno
 
 
-def unreferenced_public_names() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    refs = {module: list(_references(tree)) for module, tree in trees.items()}
+def unreferenced_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    refs = {module: list(_references(module, tree)) for module, tree in trees.items()}
     unused = []
     for module, tree in trees.items():
         for qualified, name, first, last in _definitions(module, tree):
+            key = (".", name) if qualified.count(".") == 2 else (module, name)
             used = any(
-                ref == name and not (other == module and first <= line <= last)
+                ref == key and not (other == module and first <= line <= last)
                 for other, module_refs in refs.items()
                 for ref, line in module_refs
             )
@@ -73,11 +89,25 @@ def unreferenced_public_names() -> list[str]:
     return unused
 
 
+def package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    unused = set(unreferenced_public_names())
+    unused = set(unreferenced_public_names(package_trees()))
     assert sorted(unused - ALLOWED.keys()) == []
 
 
 def test_every_allowlisted_name_still_exists_without_a_caller():
     # an entry whose name gained a caller or was deleted is stale
-    assert sorted(ALLOWED.keys() - set(unreferenced_public_names())) == []
+    assert sorted(ALLOWED.keys() - set(unreferenced_public_names(package_trees()))) == []
+
+
+def test_a_bare_name_refers_to_its_own_module_or_an_import():
+    trees = {
+        "a": ast.parse("def check(): pass\ndef helper(): pass\ndef kept(): pass\n"),
+        "b": ast.parse("from .a import helper\ndef check(): pass\ncheck()\nhelper()\n"),
+        "c": ast.parse("from . import a\na.kept()\n"),
+    }
+    # b's bare check() is b.check, not a.check
+    assert unreferenced_public_names(trees) == ["a.check"]
