@@ -396,10 +396,6 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
             ["sweep", "--ns", "4", "--trials", "10", "--subset-size", "-2", "--seed", "1"],
             "subset size -2 out of range 0..8",
         ),
-        (
-            ["sweep", "--ns", "16,abc", "--trials", "10", "--subset-size", "2", "--seed", "1"],
-            "--ns must be a comma-separated list of integers, got '16,abc'",
-        ),
     ],
 )
 def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, message):
@@ -411,6 +407,30 @@ def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, m
     out = tmp_path / "out"
     assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert f"error: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classical_run_rejects_negative_subset_size(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code = run_cli(
+        ["classical-run", "--n", "16", "--subset-size", "-2", "--trials", "10",
+         "--seed", "9", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "--subset-size must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_names_an_unparsable_grid(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        ["sweep", "--ns", "16,abc", "--trials", "10", "--subset-size", "2", "--seed", "1",
+         "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "--ns must be a comma-separated list of integers, got '16,abc'" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 
