@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .combinatorics import count_matchings, enumerate_matchings
+from .combinatorics import MonteCarloEstimate, count_matchings, enumerate_matchings
 from .core import BitString, PerfectMatching
 from .errors import BudgetExceeded
 from .fourier import _popcounts, matching_image_table
@@ -45,45 +45,22 @@ MAP_BUDGET = 1 << 16
 
 @dataclass(frozen=True)
 class SuccessReport:
-    """Success of one protocol, exact or Monte-Carlo."""
+    """Exact success of one protocol, with the Alice map that attains it."""
 
     protocol: str
     message_bits: int
-    method: str  # "exact" | "monte_carlo"
-    success_prob: float
-    success_exact: Fraction | None = None
-    trials: int | None = None
-    sigma: float | None = None
-    witness: dict[str, Any] | None = None
-
-    def __post_init__(self) -> None:
-        if self.method == "exact":
-            if self.sigma is not None or self.trials is not None:
-                raise ValueError("exact reports carry no trial count or sigma")
-        elif self.method == "monte_carlo":
-            if self.trials is None or self.trials < 1 or self.sigma is None:
-                raise ValueError("monte_carlo reports need trials >= 1 and sigma")
-        else:
-            raise ValueError(f"unknown method {self.method!r}")
+    success_exact: Fraction
+    witness: dict[str, Any]
 
     def to_json_dict(self) -> dict[str, Any]:
-        record: dict[str, Any] = {
+        return {
             "protocol": self.protocol,
             "message_bits": self.message_bits,
-            "method": self.method,
-            "success_prob": self.success_prob,
+            "method": "exact",
+            "success_prob": float(self.success_exact),
+            "success_exact": f"{self.success_exact.numerator}/{self.success_exact.denominator}",
+            "witness": self.witness,
         }
-        if self.success_exact is not None:
-            record["success_exact"] = (
-                f"{self.success_exact.numerator}/{self.success_exact.denominator}"
-            )
-        if self.trials is not None:
-            record["trials"] = self.trials
-        if self.sigma is not None:
-            record["sigma"] = self.sigma
-        if self.witness is not None:
-            record["witness"] = self.witness
-        return record
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +210,10 @@ def subset_mixture_success(n: int, c: int, promise: bool) -> Fraction:
 
 def run_subset_trials(
     n: int, c: int, trials: int, seed: int, restrict_promise: bool = False
-) -> SuccessReport:
-    """Monte-Carlo success report for the subset protocol with c known positions."""
+) -> MonteCarloEstimate:
+    """Monte-Carlo success of the subset protocol with c known positions."""
     _, correct = subset_trial_outcomes(n, c, trials, seed, restrict_promise)
-    p_hat = int(np.count_nonzero(correct)) / trials
-    return SuccessReport(
-        protocol=f"subset-{c}",
-        message_bits=c,
-        method="monte_carlo",
-        success_prob=p_hat,
-        trials=trials,
-        sigma=math.sqrt(p_hat * (1.0 - p_hat) / trials),
-    )
+    return MonteCarloEstimate(int(np.count_nonzero(correct)), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +347,7 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
             f"enumerating 2^{c * num_x} maps for c={c} exceeds any budget"
         )
     return SuccessReport(
-        protocol=f"bruteforce-c{c}",
-        message_bits=c,
-        method="exact",
-        success_prob=float(value),
-        success_exact=value,
-        witness=witness,
+        protocol=f"bruteforce-c{c}", message_bits=c, success_exact=value, witness=witness
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any, Sequence
 
@@ -78,12 +77,12 @@ def run_separation_sweep(
     count (see :func:`classical.subset_trial_outcomes`).
     """
     if not ns or any(v < 1 for v in ns) or list(ns) != sorted(set(ns)):
-        raise ValueError("grid must be a strictly increasing list of positive n")
+        grid = ",".join(map(str, ns))
+        raise ValueError(f"--ns must be a strictly increasing list of positive n, got {grid!r}")
     _check_reps(reps)
     _check_positive("--trials", trials)
     # the grid is increasing, so its first point bounds the subset for every point
-    if not 0 <= subset_size <= 2 * ns[0]:
-        raise ValueError(f"subset size {subset_size} out of range 0..{2 * ns[0]}")
+    _check_subset_size(subset_size, ns[0])
     rows = []
     for grid_idx, n in enumerate(ns):
         hits = 0
@@ -91,8 +90,8 @@ def run_separation_sweep(
             rng = substream(seed, grid_idx, 0, t)
             b, d = _sample_source_and_count(n, rng, restrict_promise=True)
             hits += quantum.majority_vote_count(n, d, reps, rng) == b
-        q_hat = hits / trials
-        report = classical.run_subset_trials(
+        quantum_mc = combinatorics.MonteCarloEstimate(hits, trials)
+        classical_mc = classical.run_subset_trials(
             n, subset_size, trials, _stage_seed(seed, grid_idx), restrict_promise=True
         )
         rows.append(
@@ -100,12 +99,12 @@ def run_separation_sweep(
                 "n": n,
                 "qubit_cost": reps * quantum.message_qubits(n),
                 "quantum_trials": trials,
-                "quantum_success": q_hat,
-                "quantum_sigma": math.sqrt(q_hat * (1.0 - q_hat) / trials),
+                "quantum_success": quantum_mc.estimate,
+                "quantum_sigma": quantum_mc.sigma,
                 "bit_cost": subset_size,
                 "classical_trials": trials,
-                "classical_success": report.success_prob,
-                "classical_sigma": report.sigma,
+                "classical_success": classical_mc.estimate,
+                "classical_sigma": classical_mc.sigma,
                 "seed": seed,
             }
         )
@@ -120,6 +119,13 @@ def _check_reps(reps: int) -> None:
 def _check_positive(flag: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{flag} must be positive, got {value}")
+
+
+def _check_subset_size(subset_size: int, n: int) -> None:
+    if subset_size < 0:
+        raise ValueError(f"--subset-size must be nonnegative, got {subset_size}")
+    if subset_size > 2 * n:
+        raise ValueError(f"--subset-size {subset_size} out of range 0..{2 * n}")
 
 
 def _stage_seed(seed: int, stage: int) -> int:
@@ -175,14 +181,18 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
 def _cmd_classical_run(args: argparse.Namespace) -> int:
     _check_positive("--n", args.n)
     _check_positive("--trials", args.trials)
-    if args.subset_size < 0:
-        raise ValueError(f"--subset-size must be nonnegative, got {args.subset_size}")
-    if args.subset_size > 2 * args.n:
-        raise ValueError(f"--subset-size {args.subset_size} out of range 0..{2 * args.n}")
-    report = classical.run_subset_trials(args.n, args.subset_size, args.trials, args.seed)
-    record = report.to_json_dict()
-    record["n"] = args.n
-    record["seed"] = args.seed
+    _check_subset_size(args.subset_size, args.n)
+    est = classical.run_subset_trials(args.n, args.subset_size, args.trials, args.seed)
+    record = {
+        "protocol": f"subset-{args.subset_size}",
+        "message_bits": args.subset_size,
+        "method": "monte_carlo",
+        "success_prob": est.estimate,
+        "trials": est.trials,
+        "sigma": est.sigma,
+        "n": args.n,
+        "seed": args.seed,
+    }
     emit([record], [], "json", args.out)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ Monte-Carlo estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -82,12 +83,20 @@ _PERMUTATION_BLOCK = 1 << 20
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Frequency estimate with its standard error."""
+    """A Monte-Carlo success frequency: ``successes`` hits in ``trials`` trials."""
 
-    estimate: float
-    sigma: float
-    trials: int
     successes: int
+    trials: int
+
+    @property
+    def estimate(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def sigma(self) -> float:
+        """Binomial standard error sqrt(p(1 - p) / trials) at p = the estimate."""
+        p = self.estimate
+        return math.sqrt(p * (1 - p) / self.trials)
 
 
 def gamma_monte_carlo(
@@ -120,6 +129,4 @@ def gamma_monte_carlo(
         perms = rng.permuted(np.tile(np.arange(2 * n), (min(rows, trials - start), 1)), axis=1)
         inside = mask[perms]
         hits += int(np.count_nonzero((inside[:, 0::2] == inside[:, 1::2]).all(axis=1)))
-    p_hat = hits / trials
-    sigma = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
-    return MonteCarloEstimate(estimate=p_hat, sigma=sigma, trials=trials, successes=hits)
+    return MonteCarloEstimate(hits, trials)

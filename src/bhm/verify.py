@@ -36,6 +36,11 @@ class CheckResult:
         return record
 
 
+def _z(p_hat: float, p: float, trials: int) -> float:
+    """|p_hat - p| in binomial standard errors at the exact p over ``trials``."""
+    return abs(p_hat - p) / math.sqrt(max(p * (1 - p), 1e-12) / trials)
+
+
 # ---------------------------------------------------------------------------
 # core identities
 
@@ -250,8 +255,7 @@ def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
             case += 1
             p = float(quantum.exact_success(inst))
             p_hat = quantum.empirical_success(inst, shots, substream(seed, 9, 100 + case))
-            sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
-            worst_z = max(worst_z, abs(p_hat - p) / sigma)
+            worst_z = max(worst_z, _z(p_hat, p, shots))
     return CheckResult("quantum_mc_vs_exact", worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"})
 
 
@@ -276,9 +280,8 @@ def check_amplification(seed: int, trials: int = 20_000) -> CheckResult:
         ok &= exact >= previous
         previous = exact
         guesses = quantum.majority_votes(disagree, r, trials, substream(seed, 10, i))
-        p = float(exact)
-        sigma = math.sqrt(p * (1 - p) / trials)
-        worst_z = max(worst_z, abs(float(np.mean(guesses == inst.source)) - p) / sigma)
+        p_hat = float(np.mean(guesses == inst.source))
+        worst_z = max(worst_z, _z(p_hat, float(exact), trials))
     return CheckResult(
         "amplification", ok and worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"}
     )
@@ -340,17 +343,19 @@ def check_density_normalization() -> CheckResult:
     """mu_b sums to 1, in integers: sum_h C(n,h) weights[h] == scale.
 
     ``(weights, scale)`` is the noise law of :func:`instances._noise_weights`.
-    mu_b depends on y only through its popcount h, so density_mu is held
-    against that weight at one y per popcount.
+    mu_b depends on y only through its popcount h, so density_mu is held at
+    one y per popcount against p^(n-h) (1-p)^h, p = :data:`instances.NOISE_BIAS`,
+    written out here rather than read from that law.
     """
     ok = True
+    p = instances.NOISE_BIAS
     for n in range(1, 11):
         weights, scale = instances._noise_weights(n)
         ok &= sum(math.comb(n, h) * weights[h] for h in range(n + 1)) == scale
         for h in range(n + 1):
             y = BitString.from_index(n, (1 << h) - 1)
-            ok &= instances.density_mu(0, y) == Fraction(weights[h], scale)
-            ok &= instances.density_mu(1, y) == Fraction(weights[n - h], scale)
+            ok &= instances.density_mu(0, y) == p ** (n - h) * (1 - p) ** h
+            ok &= instances.density_mu(1, y) == p**h * (1 - p) ** (n - h)
     return CheckResult("density_normalization", ok)
 
 
@@ -372,8 +377,7 @@ def check_promise_rates(seed: int, trials: int = 10_000) -> CheckResult:
             outside += instances._classify_counts(n, d) is instances.PromiseClass.OUTSIDE
         rate = outside / trials
         rates.append(rate)
-        sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
-        worst_z = max(worst_z, abs(rate - exact) / sigma)
+        worst_z = max(worst_z, _z(rate, exact, trials))
     decreasing = all(a > b for a, b in zip(rates, rates[1:]))
     return CheckResult(
         "promise_rates",
@@ -397,8 +401,7 @@ def check_subset_oracle(seed: int, trials: int = 20_000) -> CheckResult:
         if count < 200:
             continue
         p = float(classical.known_edge_success(int(k)))
-        sigma = math.sqrt(max(p * (1 - p), 1e-12) / count)
-        worst_z = max(worst_z, abs(float(correct[sel].mean()) - p) / sigma)
+        worst_z = max(worst_z, _z(float(correct[sel].mean()), p, count))
     return CheckResult("subset_oracle", worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"})
 
 
@@ -414,9 +417,7 @@ def check_classical_exact() -> CheckResult:
         classical.alice_dictator(n, 1),
         classical.alice_dictator(n, 3),
     )
-    ok &= best is not None and all(
-        classical.bayes_success(heuristic, n, 1) <= best for heuristic in heuristics
-    )
+    ok &= all(classical.bayes_success(heuristic, n, 1) <= best for heuristic in heuristics)
     values = [classical.subset_mixture_success(n, c, promise=False) for c in range(2 * n + 1)]
     ok &= all(a <= b for a, b in zip(values, values[1:]))
     return CheckResult("classical_exact", bool(ok))
@@ -431,9 +432,9 @@ def _check_fourier_sizes(m: int, cases: int) -> None:
     if m > fourier.DEFAULT_MAX_DIM:
         raise BudgetExceeded(f"Fourier suite at m={m} exceeds cap {fourier.DEFAULT_MAX_DIM}")
     if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+        raise ValueError(f"--m must be positive, got {m}")
     if cases < 1:
-        raise ValueError(f"cases must be positive, got {cases}")
+        raise ValueError(f"--cases must be positive, got {cases}")
 
 
 def run_fourier_suite(m: int, cases: int, seed: int) -> list[CheckResult]:
@@ -455,7 +456,7 @@ def run_all(
     """Every module's property suite at configurable sizes."""
     _check_fourier_sizes(m, cases)
     if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+        raise ValueError(f"--trials must be positive, got {trials}")
     results = [check_core_identities(seed)]
     results.extend(run_fourier_suite(m, cases, seed))
     results.extend(

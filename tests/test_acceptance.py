@@ -219,11 +219,11 @@ def test_criterion_09_separation_snapshot():
 
     classical_trials = 100_000
     low = run_subset_trials(n, 11, classical_trials, seed=SEED_SEPARATION + 1)
-    ci_high = low.success_prob + 1.96 * low.sigma
+    ci_high = low.estimate + 1.96 * low.sigma
     assert ci_high < 0.55
 
     big = run_subset_trials(n, 256, 20_000, seed=SEED_SEPARATION + 2)
-    assert big.success_prob - 3 * big.sigma > 2 / 3
+    assert big.estimate - 3 * big.sigma > 2 / 3
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
@@ -231,7 +231,7 @@ def test_criterion_09_separation_snapshot():
         "9 (separation snapshot)",
         f"2n=1024: quantum {q_success:.4f} >= 2/3 at {qubit_cost} qubits; "
         f"subset c=11 CI high {ci_high:.4f} < 0.55 over 1e5 trials; "
-        f"subset c=256 success {big.success_prob:.4f} > 2/3; {elapsed:.1f}s",
+        f"subset c=256 success {big.estimate:.4f} > 2/3; {elapsed:.1f}s",
     )
 
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -178,7 +177,7 @@ def test_suites_reject_zero_cases(tmp_path, capsys, command):
     out = tmp_path / "f.jsonl"
     code = run_cli([command, "--m", "4", "--cases", "0", "--seed", "1", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert "cases must be positive" in capsys.readouterr().err
+    assert "error: --cases must be positive, got 0\n" == capsys.readouterr().err
     assert not out.exists()
 
 
@@ -200,7 +199,8 @@ def test_suites_reject_out_of_range_sizes(tmp_path, capsys, monkeypatch, argv, m
     monkeypatch.setattr(verify, "check_fourier_roundtrip", no_work)
     out = tmp_path / "f.jsonl"
     assert run_cli(argv + ["--seed", "1", "--out", str(out)]) == cli.EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    # the refusal names its flag, as the other commands' refusals do
+    assert f"error: --{message}\n" == capsys.readouterr().err
     assert not out.exists()
 
 
@@ -258,16 +258,6 @@ def test_amplification_check_fails_on_a_wrong_single_shot_value(monkeypatch):
     assert not verify.check_amplification(3, trials=500).passed
 
 
-def test_classical_exact_check_fails_without_an_exact_optimum(monkeypatch):
-    real = classical.bruteforce_optimal
-    monkeypatch.setattr(
-        classical,
-        "bruteforce_optimal",
-        lambda n, c: dataclasses.replace(real(n, c), success_exact=None),
-    )
-    assert not verify.check_classical_exact().passed
-
-
 def test_core_identities_count_every_exhaustive_case():
     # per matching on 2n <= 8 points: every x for the image table, every
     # (s, x) for adjointness; then the 20 spot checks at n = 16
@@ -305,6 +295,17 @@ def test_density_check_fails_on_a_flipped_entry(monkeypatch):
         "density_mu",
         lambda b, y: real(1 - b, y) if (b, y.to_text()) == (0, "111") else real(b, y),
     )
+    assert not verify.check_density_normalization().passed
+
+
+def test_density_check_fails_on_swapped_noise_weights(monkeypatch):
+    # a and q - a swapped: the weights still sum to q^n, so only the
+    # independent product p^(n-h) (1-p)^h can catch it
+    def swapped(n):
+        a, q = instances.NOISE_BIAS.numerator, instances.NOISE_BIAS.denominator
+        return [(q - a) ** (n - h) * a**h for h in range(n + 1)], q**n
+
+    monkeypatch.setattr(instances, "_noise_weights", swapped)
     assert not verify.check_density_normalization().passed
 
 
@@ -394,7 +395,15 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
         ),
         (
             ["sweep", "--ns", "4", "--trials", "10", "--subset-size", "-2", "--seed", "1"],
-            "subset size -2 out of range 0..8",
+            "--subset-size must be nonnegative, got -2",
+        ),
+        (
+            ["sweep", "--ns", "4", "--trials", "10", "--subset-size", "99", "--seed", "1"],
+            "--subset-size 99 out of range 0..8",
+        ),
+        (
+            ["sweep", "--ns", "8,4", "--trials", "10", "--subset-size", "2", "--seed", "1"],
+            "--ns must be a strictly increasing list of positive n, got '8,4'",
         ),
     ],
 )
@@ -513,6 +522,14 @@ GOLDEN_DIGESTS = {
     "verify-all": (
         ["verify-all", "--m", "5", "--cases", "5", "--trials", "2000", "--seed", "3"],
         "4f93b84583a3a4904fb52058f9fa5cea1b6af329d38ec1f1610cf563a7157b9c",
+    ),
+    "bruteforce": (
+        ["bruteforce", "--n", "2", "--bits", "1"],
+        "b90891bde49bb2f495c054603a8e0b59b6e3c413b991c24b2ac56f8e37eb262f",
+    ),
+    "gamma": (
+        ["gamma", "--n", "16", "--k", "6", "--mc", "20000", "--seed", "7"],
+        "f03f69f66499dd816033039555d99f2b76b648dc87ce6611297d23d6d5e7734d",
     ),
 }
 
