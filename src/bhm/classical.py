@@ -34,7 +34,7 @@ from .instances import (  # noqa: F401
     _sample_t_arrays,
 )
 from .quantum import majority_success
-from .seeding import substream
+from .seeding import HYPERGEOM_MAX, HalfWords, substream
 
 #: Work cap for the exact joint-mass enumeration (2^2n * matchings * 2^n).
 ENUMERATION_BUDGET = 100_000
@@ -98,9 +98,15 @@ def subset_trial_outcomes(
     (:func:`_known_edge_count`), and the number of those K edges that
     disagree with w.  The d disagreeing edges are a uniform d-subset
     independent of the matching, so that number is Hypergeometric(n, d, K).
+    Every draw is the one the numpy calls ``integers`` and
+    ``hypergeometric`` would make (:class:`seeding.HalfWords`).  That
+    hypergeometric refuses n - d or d at 10**9, so n >= 10**9 is refused
+    before any trial draws.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n >= HYPERGEOM_MAX:
+        raise ValueError(f"n must be below {HYPERGEOM_MAX}, got {n}")
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= c <= 2 * n:
@@ -108,16 +114,16 @@ def subset_trial_outcomes(
     ks = np.empty(trials, dtype=np.int64)
     correct = np.empty(trials, dtype=bool)
     for t in range(trials):
-        rng = substream(seed, t)
-        b, d = _sample_source_and_count(n, rng, restrict_promise)
-        k = _known_edge_count(n, c, rng.random(c).tolist())
-        agree = k - int(rng.hypergeometric(d, n - d, k))
+        words = HalfWords(substream(seed, t))
+        b, d = _sample_source_and_count(n, words, restrict_promise)
+        k = _known_edge_count(n, c, words.rng.random(c).tolist())
+        agree = k - words.hypergeometric(d, n - d, k)
         if 2 * agree > k:
             guess = 0
         elif 2 * agree < k:
             guess = 1
         else:
-            guess = int(rng.integers(2))
+            guess = words.below(2)
         ks[t] = k
         correct[t] = guess == b
     return ks, correct

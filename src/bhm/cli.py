@@ -19,7 +19,7 @@ from .errors import BudgetExceeded
 # _sample_promise_arrays is not called here; the binding stays because
 # perfbench's tracer self-test checks that it wraps this module's name
 from .instances import _sample_promise_arrays, _sample_source_and_count, sample_T  # noqa: F401
-from .seeding import substream
+from .seeding import HYPERGEOM_MAX, HalfWords, substream
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -81,15 +81,17 @@ def run_separation_sweep(
         raise ValueError(f"--ns must be a strictly increasing list of positive n, got {grid!r}")
     _check_reps(reps)
     _check_positive("--trials", trials)
-    # the grid is increasing, so its first point bounds the subset for every point
+    # the grid is increasing, so its first point bounds the subset for every
+    # point and its last point bounds n
     _check_subset_size(subset_size, ns[0])
+    _check_subset_n("--ns", ns[-1])
     rows = []
     for grid_idx, n in enumerate(ns):
         hits = 0
         for t in range(trials):
-            rng = substream(seed, grid_idx, 0, t)
-            b, d = _sample_source_and_count(n, rng, restrict_promise=True)
-            hits += quantum.majority_vote_count(n, d, reps, rng) == b
+            words = HalfWords(substream(seed, grid_idx, 0, t))
+            b, d = _sample_source_and_count(n, words, restrict_promise=True)
+            hits += quantum.majority_vote_count(n, d, reps, words) == b
         quantum_mc = combinatorics.MonteCarloEstimate(hits, trials)
         classical_mc = classical.run_subset_trials(
             n, subset_size, trials, _stage_seed(seed, grid_idx), restrict_promise=True
@@ -126,6 +128,14 @@ def _check_subset_size(subset_size: int, n: int) -> None:
         raise ValueError(f"--subset-size must be nonnegative, got {subset_size}")
     if subset_size > 2 * n:
         raise ValueError(f"--subset-size {subset_size} out of range 0..{2 * n}")
+
+
+def _check_subset_n(flag: str, n: int) -> None:
+    if n >= HYPERGEOM_MAX:
+        raise ValueError(
+            f"{flag} {n} is too large for the subset protocol: n must be below "
+            f"{HYPERGEOM_MAX}"
+        )
 
 
 def _stage_seed(seed: int, stage: int) -> int:
@@ -182,6 +192,7 @@ def _cmd_classical_run(args: argparse.Namespace) -> int:
     _check_positive("--n", args.n)
     _check_positive("--trials", args.trials)
     _check_subset_size(args.subset_size, args.n)
+    _check_subset_n("--n", args.n)
     est = classical.run_subset_trials(args.n, args.subset_size, args.trials, args.seed)
     record = {
         "protocol": f"subset-{args.subset_size}",

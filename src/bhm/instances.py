@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import BitString, PerfectMatching, apply_matching, hamming_distance
 from .errors import DimensionMismatch
+from .seeding import HalfWords
 
 #: Probability that a sampled bit agrees with its source label.  Fixed at
 #: 3/4 everywhere; threaded as a constant so densities, samplers and
@@ -148,7 +149,7 @@ _DISAGREE_PROB = (float(1 - NOISE_BIAS), float(NOISE_BIAS))
 
 
 def _sample_source_and_count(
-    n: int, rng: np.random.Generator, restrict_promise: bool
+    n: int, words: HalfWords, restrict_promise: bool
 ) -> tuple[int, int]:
     """Source bit b and disagreement count d of one mixture draw, and nothing else.
 
@@ -156,11 +157,13 @@ def _sample_source_and_count(
     noise vector bit for bit, so x and the matching cancel out: d is
     Binomial(n, 1/4) for b = 0 and Binomial(n, 3/4) for b = 1, and given
     d the disagreeing edges are a uniform d-subset.  With
-    ``restrict_promise``, (b, d) is redrawn until the promise holds.
+    ``restrict_promise``, (b, d) is redrawn until the promise holds.  b
+    is ``words.below(2)``, which draws as ``rng.integers(0, 2)`` would.
     """
+    binomial = words.rng.binomial
     while True:
-        b = int(rng.integers(0, 2))
-        d = int(rng.binomial(n, _DISAGREE_PROB[b]))
+        b = words.below(2)
+        d = int(binomial(n, _DISAGREE_PROB[b]))
         if not restrict_promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE:
             return b, d
 

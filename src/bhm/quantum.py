@@ -12,7 +12,10 @@ Measurement has one route: :func:`measure_matching_basis` samples from
 the squared inner products of the explicit basis.  It is the oracle that
 tests and ``verify`` hold the r-shot vote :func:`majority_votes` and its
 count-only form :func:`majority_vote_count` against; those draw the
-uniform edges directly and never build the basis.
+uniform edges directly and never build the basis.  The count-only form
+runs once per sweep trial, so it takes its r edges from the trial's
+:class:`seeding.HalfWords` reader, one ``below(n)`` each: the draws of
+numpy's ``integers(0, n, size=r)`` without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from .core import BitString, PerfectMatching, apply_matching
 from .errors import DimensionMismatch
 from .instances import BhmInstance, _count_law
+from .seeding import HalfWords
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +155,17 @@ def majority_votes(
     return guesses
 
 
-def majority_vote_count(n: int, d: int, r: int, rng: np.random.Generator) -> int:
+def majority_vote_count(n: int, d: int, r: int, words: HalfWords) -> int:
     """Bob's r-shot majority guess for odd r when d of the n edges disagree.
 
     The edges are exchangeable, so the d disagreeing ones may be taken to
     be the first d: this is :func:`majority_votes` on ``arange(n) < d`` for
-    one run, draw for draw, without building the n-bit array.
+    one run on ``words.rng``, draw for draw, without building the n-bit
+    array.  The r edges are r calls of ``words.below(n)``, which draw as
+    ``rng.integers(0, n, size=r)`` does.
     """
-    ones = int((rng.integers(0, n, size=r) < d).sum())
+    below = words.below
+    ones = sum(below(n) < d for _ in range(r))
     return 1 if 2 * ones > r else 0
 
 

@@ -20,6 +20,12 @@ count trials in the last path entry therefore pay the hash about once
 per block.  The cache keeps the last ``_CACHED_BLOCKS`` blocks, and its
 arrays are read-only, because every generator seeded from a row shares
 them.
+
+:class:`HalfWords` mirrors numpy's bounded integer draws in the same
+way: it takes ``Generator.integers(0, n)`` and the masked interval that
+``Generator.hypergeometric`` runs on straight from the generator's raw
+PCG64 words, without numpy's per-call overhead, and numpy is again the
+oracle that tests hold it against draw for draw.
 """
 
 from __future__ import annotations
@@ -41,7 +47,10 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _POOL_SIZE = 4
+#: numpy refuses hypergeometric draws with this many good or bad items.
+HYPERGEOM_MAX = 10**9
 
 #: Consecutive last entropy words hashed together (divides 2**32).
 _BLOCK = 1024
@@ -178,3 +187,99 @@ def substream(seed: int, *path: int) -> Generator:
     seeds = _state_block(seed, path[:-1], split, last - (top << split), top // _BLOCK)
     generator, pcg64, seed_words = _seeded_generator_types()
     return generator(pcg64(seed_words(seeds[top % _BLOCK])))
+
+
+class HalfWords:
+    """numpy's bounded integer draws on one generator, from its raw PCG64 words.
+
+    ``below(n)`` is ``int(rng.integers(0, n))`` and ``hypergeometric`` is
+    ``int(rng.hypergeometric(...))``, draw for draw, so every stream and
+    output stays what the numpy calls give.  numpy takes a bound n <= 2**32
+    from 32-bit half-words: the low half of a fresh word first, while
+    PCG64 keeps the high half for the next 32-bit draw.  Doubles
+    (``random``, ``binomial``) take whole words and leave that kept half
+    alone.  This reader holds the kept half itself, so every 32-bit draw
+    of its generator must go through it; doubles are drawn on ``rng``.
+    One reader serves one fresh generator, e.g. one trial's substream.
+    """
+
+    __slots__ = ("rng", "_raw", "_kept")
+
+    def __init__(self, rng: Generator) -> None:
+        self.rng = rng
+        self._raw = rng.bit_generator.random_raw
+        self._kept: int | None = None
+
+    def _next32(self) -> int:
+        kept = self._kept
+        if kept is None:
+            word = self._raw()
+            self._kept = word >> 32
+            return word & _MASK32
+        self._kept = None
+        return kept
+
+    def below(self, n: int) -> int:
+        """Uniform on 0..n-1 for 1 <= n < 2**63, by Lemire's method as numpy runs it.
+
+        A draw u of 32 bits (64 bits when n > 2**32) gives m = u * n; it is
+        accepted when the low bits of m are at least 2**bits mod n, and
+        the value is the high bits.  n = 1 draws nothing, and n < 1 is
+        refused as numpy refuses it.
+        """
+        if n <= 1 << 32:
+            if n <= 1:
+                if n < 1:
+                    raise ValueError(f"high <= 0: no value lies below {n}")
+                return 0
+            draw, bits, mask = self._next32, 32, _MASK32
+        else:
+            draw, bits, mask = self._raw, 64, _MASK64
+        while True:
+            m = draw() * n
+            # the threshold 2**bits mod n is below n, so low bits >= n accept at once
+            low = m & mask
+            if low >= n or low >= (mask + 1) % n:
+                return m >> bits
+
+    def interval(self, top: int) -> int:
+        """Uniform on 0..top, numpy's ``random_interval``: masked rejection.
+
+        It draws 32 bits for top < 2**32 and 64 bits above.
+        """
+        if top == 0:
+            return 0
+        mask = (1 << top.bit_length()) - 1
+        draw = self._next32 if top <= _MASK32 else self._raw
+        while True:
+            value = draw() & mask
+            if value <= top:
+                return value
+
+    def hypergeometric(self, good: int, bad: int, sample: int) -> int:
+        """Good items in a uniform ``sample`` of ``good + bad``, as numpy draws it.
+
+        For 10 <= sample <= total - 10 numpy runs its ratio-of-uniforms
+        method, which draws doubles only, so the call is numpy's own.
+        Otherwise it draws the smaller of sample and total - sample one
+        item at a time on :meth:`interval`, which runs here; a sample of 0
+        draws nothing.  Counts at :data:`HYPERGEOM_MAX` are refused as
+        numpy refuses them.
+        """
+        total = good + bad
+        if good >= HYPERGEOM_MAX or bad >= HYPERGEOM_MAX:
+            raise ValueError(f"both ngood and nbad must be less than {HYPERGEOM_MAX}")
+        if 10 <= sample <= total - 10:
+            return int(self.rng.hypergeometric(good, bad, sample))
+        complement = sample > total // 2
+        todo = total - sample if complement else sample
+        left, left_good = total, good
+        while todo > 0 and 0 < left_good < left:
+            left -= 1
+            if self.interval(left) < left_good:
+                left_good -= 1
+            todo -= 1
+        if left == left_good:
+            # only good items are left
+            left_good -= todo
+        return left_good if complement else good - left_good

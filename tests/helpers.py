@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from bhm.classical import _known_edge_law
+from bhm.classical import _known_edge_count, _known_edge_law
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import BitString, PerfectMatching
 from bhm.instances import BhmInstance, PromiseClass, classify_promise, sample_T
@@ -228,3 +228,47 @@ def subset_promise_success_oracle(n: int, c: int) -> Fraction:
                 )
                 total += p_d / mass * p_k * Fraction(wins2, 4 * math.comb(n, k))
     return total
+
+
+def _source_and_count_oracle(
+    n: int, rng: np.random.Generator, promise: bool
+) -> tuple[int, int]:
+    """A mixture draw's source bit and disagreement count on numpy's own calls."""
+    while True:
+        b = int(rng.integers(0, 2))
+        d = int(rng.binomial(n, 0.75 if b else 0.25))
+        if not promise or _in_promise(n, d):
+            return b, d
+
+
+def quantum_trial_oracle(
+    n: int, r: int, rng: np.random.Generator, promise: bool
+) -> tuple[int, int]:
+    """One r-shot vote trial of the sweep on numpy's own calls: (source bit, guess).
+
+    The sweep's ``seeding.HalfWords`` kernels must reproduce it trial by
+    trial.
+    """
+    b, d = _source_and_count_oracle(n, rng, promise)
+    ones = int((rng.integers(0, n, size=r) < d).sum())
+    return b, int(2 * ones > r)
+
+
+def subset_trial_oracle(
+    n: int, c: int, rng: np.random.Generator, promise: bool
+) -> tuple[int, bool]:
+    """One subset-protocol trial on numpy's own calls: (known edges K, guess correct).
+
+    ``classical.subset_trial_outcomes`` must reproduce it trial by trial
+    on its ``seeding.HalfWords`` reader.
+    """
+    b, d = _source_and_count_oracle(n, rng, promise)
+    k = _known_edge_count(n, c, rng.random(c).tolist())
+    agree = k - int(rng.hypergeometric(d, n - d, k))
+    if 2 * agree > k:
+        guess = 0
+    elif 2 * agree < k:
+        guess = 1
+    else:
+        guess = int(rng.integers(2))
+    return k, guess == b

@@ -37,10 +37,38 @@ def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     assert bench_trajectory.main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines[1:]] == [
-        ["BENCH_9.json", "verify", "3", "2", "2.000", "2.000", "1.000", "-"],
+        ["BENCH_9.json", "verify", "3", "2", "2.000", "2.000", "1.000", "-", "-", "-", "-"],
         # parent median 2.5 over the previous file's change median 2.0
-        ["BENCH_10.json", "verify", "2", "1", "2.500", "2.000", "0.800", "1.250"],
+        ["BENCH_10.json", "verify", "2", "1", "2.500", "2.000", "0.800", "1.250", "-", "-", "-"],
     ]
+
+
+def test_gate_metric_ratios_agree_with_the_summary_of_bench_19():
+    # BENCH_19.json records each ratio of medians, to four places, in its own summary
+    record = json.loads((ROOT / "BENCH_19.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    for workload, summary in record["summary"].items():
+        for metric in bench_trajectory.GATE_METRICS:
+            ratio = rows[workload].gate_ratios[metric]
+            assert round(ratio, 4) == summary[metric]["change_over_parent"], (workload, metric)
+
+
+def test_gate_metric_ratios_skip_pairs_missing_a_side(tmp_path, capsys):
+    def side(wall, setup=None, rss=None, rate=None):
+        readings = {"wall_s": wall, "setup_s": setup, "peak_rss_mb": rss, "trials_per_s": rate}
+        return {"metrics": {k: {"value": v} for k, v in readings.items() if v is not None}}
+
+    pairs = [
+        {"parent": side(1.0, 0.2, 40.0, 10.0), "change": side(0.5, 0.3, 40.0, 20.0)},
+        {"parent": side(1.0, 0.4, 40.0), "change": side(0.5, None, 44.0)},
+        {"parent": side(1.0, 0.2, 40.0), "change": side(0.5, 0.1, 48.0)},
+    ]
+    (tmp_path / "BENCH_1.json").write_text(json.dumps({"runs": {"sweep": pairs}}))
+    row = bench_trajectory.summarize(json.loads((tmp_path / "BENCH_1.json").read_text()))["sweep"]
+    # setup_s: pairs 1 and 3, medians 0.2 -> 0.2; rss: all three, 40 -> 44; rate: pair 1 only
+    assert row.gate_ratios == {"setup_s": 1.0, "peak_rss_mb": 1.1, "trials_per_s": 2.0}
+    assert bench_trajectory.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-3:] == ["1.000", "1.100", "2.000"]
 
 
 def test_rejects_extra_arguments(capsys):

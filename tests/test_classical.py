@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bhm import classical
 from bhm.classical import (
     _known_edge_law,
     alice_constant,
@@ -31,6 +32,7 @@ from helpers import (
     mixture_average,
     mixture_cells,
     subset_promise_success_oracle,
+    subset_trial_oracle,
     z_score,
 )
 
@@ -217,6 +219,18 @@ def test_trial_runners_reject_nonpositive_n():
             subset_trial_outcomes(n, 0, 5, seed=607)
 
 
+def test_subset_trials_refuse_n_numpy_cannot_draw_before_any_draw(monkeypatch):
+    # numpy's hypergeometric refuses 10**9 good or bad items, and a trial with
+    # no known edge would never ask it, so the refusal must not depend on the draws
+    def no_draw(*args):
+        raise AssertionError("a trial drew before n was checked")
+
+    monkeypatch.setattr(classical, "substream", no_draw)
+    for n in (10**9, 2 * 10**9):
+        with pytest.raises(ValueError, match=f"n must be below 1000000000, got {n}"):
+            subset_trial_outcomes(n, 0, 5, seed=607)
+
+
 def test_bayes_success_exact_values():
     n = 2
     assert bayes_success(alice_constant(n), n, 0) == Fraction(1, 2)
@@ -336,3 +350,31 @@ def test_large_subset_beats_small_subset():
     large = run_subset_trials(n, 32, trials, seed=612)
     pooled = math.sqrt(small.sigma**2 + large.sigma**2)
     assert large.estimate - small.estimate > 3 * pooled
+
+
+def subset_grid():
+    """(n, c): subset sizes 0, 1, 5, 11 and 2n where they fit, and c = 40 at n = 30."""
+    for n in (1, 2, 5, 16, 64):
+        for c in sorted({0, 1, 5, 11, 2 * n}):
+            if c <= 2 * n:
+                yield n, c
+    # K >= 10 occurs here, the sizes at which numpy's hypergeometric changes method
+    yield 30, 40
+
+
+@pytest.mark.parametrize("promise", [False, True])
+@pytest.mark.parametrize("n, c", list(subset_grid()))
+def test_subset_trials_equal_the_numpy_trial_oracle(n, c, promise):
+    trials, seed = 40, 615
+    ks, correct = subset_trial_outcomes(n, c, trials, seed, restrict_promise=promise)
+    expected = [subset_trial_oracle(n, c, substream(seed, t), promise) for t in range(trials)]
+    assert list(zip(ks.tolist(), correct.tolist())) == expected
+
+
+def test_subset_grid_reaches_both_hypergeometric_methods():
+    # numpy draws 10 <= K <= n - 10 by ratio of uniforms and any other K >= 1 item by item
+    methods = set()
+    for n, c in subset_grid():
+        ks, _ = subset_trial_outcomes(n, c, 40, 615)
+        methods |= {10 <= k <= n - 10 for k in ks.tolist() if k}
+    assert methods == {False, True}

@@ -405,6 +405,20 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
             ["sweep", "--ns", "8,4", "--trials", "10", "--subset-size", "2", "--seed", "1"],
             "--ns must be a strictly increasing list of positive n, got '8,4'",
         ),
+        (
+            ["sweep", "--ns", "2000000000", "--trials", "10", "--subset-size", "11", "--seed", "1"],
+            "--ns 2000000000 is too large for the subset protocol: n must be below 1000000000",
+        ),
+        (
+            ["sweep", "--ns", "16,1000000000", "--trials", "10", "--subset-size", "2",
+             "--seed", "1"],
+            "--ns 1000000000 is too large for the subset protocol: n must be below 1000000000",
+        ),
+        (
+            ["classical-run", "--n", "2000000000", "--subset-size", "11", "--trials", "10",
+             "--seed", "1"],
+            "--n 2000000000 is too large for the subset protocol: n must be below 1000000000",
+        ),
     ],
 )
 def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, message):

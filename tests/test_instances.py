@@ -27,7 +27,7 @@ from bhm.instances import (
     sample_promise_instance,
     sample_T,
 )
-from bhm.seeding import substream
+from bhm.seeding import HalfWords, substream
 from bhm.verify import check_promise_rates
 
 from helpers import (
@@ -229,8 +229,8 @@ def test_sample_promise_instance_never_outside():
 def test_source_and_count_follow_the_exact_law():
     n, trials = 12, 20_000
     for promise in (False, True):
-        rng = substream(311, int(promise))
-        draws = np.array([_sample_source_and_count(n, rng, promise) for _ in range(trials)])
+        words = HalfWords(substream(311, int(promise)))
+        draws = np.array([_sample_source_and_count(n, words, promise) for _ in range(trials)])
         assert z_score(float(draws[:, 0].mean()), 0.5, trials) <= MC_Z_BOUND
         for b in (0, 1):
             ds = draws[draws[:, 0] == b, 1]

@@ -6,9 +6,15 @@ import pytest
 import scipy.stats
 
 from bhm import quantum
+from bhm.cli import run_separation_sweep
 from bhm.core import BitString, PerfectMatching, apply_matching
 from bhm.errors import DimensionMismatch
-from bhm.instances import BhmInstance, pinned_instance, sample_matching
+from bhm.instances import (
+    BhmInstance,
+    _sample_source_and_count,
+    pinned_instance,
+    sample_matching,
+)
 from bhm.quantum import (
     MessageState,
     empirical_success,
@@ -25,13 +31,14 @@ from bhm.quantum import (
     run_repeated,
     run_single,
 )
-from bhm.seeding import substream
+from bhm.seeding import HalfWords, substream
 
 from helpers import (
     binomial_tail_at_least,
     mixture_average,
     mixture_cells,
     quantum_promise_success_oracle,
+    quantum_trial_oracle,
 )
 
 
@@ -386,6 +393,29 @@ def test_majority_vote_count_is_the_vote_on_sorted_bits():
             for r in (1, 3, 9):
                 sorted_bits = (np.arange(n) < d).astype(np.uint8)
                 for t in range(5):
-                    assert majority_vote_count(n, d, r, substream(515, n, d, r, t)) == (
+                    words = HalfWords(substream(515, n, d, r, t))
+                    assert majority_vote_count(n, d, r, words) == (
                         majority_votes(sorted_bits, r, 1, substream(515, n, d, r, t))[0]
                     )
+
+
+@pytest.mark.parametrize("promise", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_vote_trial_kernels_equal_the_numpy_trial_oracle(n, promise):
+    for r in (1, 3, 9):
+        for t in range(40):
+            words = HalfWords(substream(516, n, r, t))
+            b, d = _sample_source_and_count(n, words, promise)
+            guess = majority_vote_count(n, d, r, words)
+            assert (b, guess) == quantum_trial_oracle(n, r, substream(516, n, r, t), promise)
+
+
+def test_sweep_quantum_column_counts_the_oracle_hits():
+    ns, r, trials, seed = [5, 16], 3, 200, 517
+    rows = run_separation_sweep(ns, r, 2, trials, seed)
+    for grid_idx, (n, row) in enumerate(zip(ns, rows)):
+        oracle = [
+            quantum_trial_oracle(n, r, substream(seed, grid_idx, 0, t), True)
+            for t in range(trials)
+        ]
+        assert row["quantum_success"] == sum(b == guess for b, guess in oracle) / trials

@@ -9,7 +9,7 @@ import pytest
 import bhm
 from bhm import seeding
 from bhm.cli import _stage_seed
-from bhm.seeding import substream
+from bhm.seeding import HalfWords, substream
 
 BLOCK = seeding._BLOCK
 
@@ -66,3 +66,99 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, bhm.cli; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+#: Bounds for ``below``: both sides of the 32-bit cut, heavy rejection
+#: (2**31 + 1 and 3 * 2**30 + 7 reject about half and a quarter of their
+#: draws) and 64-bit words up to the largest int64 bound.
+BELOW_BOUNDS = [1, 2, 3, 7, 1000, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32, 2**32 + 1,
+                3 * 2**40 + 5, 2**63 - 1]
+
+
+def twin_streams(seed, path):
+    """A reader on one stream and numpy's own generator on an equal one."""
+    return HalfWords(substream(seed, *path)), substream(seed, *path)
+
+
+@pytest.mark.parametrize("n", BELOW_BOUNDS)
+def test_below_draws_as_numpy_integers(n):
+    for t in range(64):
+        words, rng = twin_streams(17, (n % 997, t))
+        # a 32-bit draw first leaves a kept half in play
+        assert words.below(2) == rng.integers(0, 2)
+        assert words.below(n) == rng.integers(0, n)
+        assert words.rng.random() == rng.random()  # a double takes a whole word
+        assert words.below(n) == rng.integers(0, n)
+        assert [words.below(n) for _ in range(3)] == rng.integers(0, n, size=3).tolist()
+        # the kept half, or its absence, agrees with numpy's
+        assert words.below(2) == rng.integers(0, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 33, 1000])
+def test_interval_draws_as_numpy_shuffles(m):
+    # Generator.permutation is Fisher-Yates on random_interval(i), i = m-1 down to 1
+    for t in range(16):
+        words, rng = twin_streams(18, (m, t))
+        assert words.below(2) == rng.integers(0, 2)
+        order = list(range(m))
+        for i in range(m - 1, 0, -1):
+            j = words.interval(i)
+            order[i], order[j] = order[j], order[i]
+        assert order == rng.permutation(m).tolist()
+        assert words.below(2) == rng.integers(0, 2)
+
+
+@pytest.mark.parametrize("top", [2**32, 2**40 + 3, 2**63 - 1])
+def test_interval_takes_whole_words_above_32_bits(top):
+    # the masked rule on the raw words, and the kept half left for the next 32-bit draw
+    mask = (1 << top.bit_length()) - 1
+    for t in range(16):
+        words, rng = twin_streams(19, (t,))
+        assert words.below(2) == rng.integers(0, 2)
+        value = rng.bit_generator.random_raw() & mask
+        while value > top:
+            value = rng.bit_generator.random_raw() & mask
+        assert words.interval(top) == value
+        assert words.below(2) == rng.integers(0, 2)
+
+
+def hypergeometric_cases():
+    """(good, bad, sample) on both of numpy's branches, at their edges."""
+    for good, bad in [(0, 25), (25, 0), (3, 40), (40, 3), (12, 18), (500, 700),
+                      (10**9 - 1, 20), (7, 10**9 - 1)]:
+        total = good + bad
+        for sample in sorted({0, 9, 10, 11, total - 10, total - 9, total}):
+            if 0 <= sample <= total:
+                yield good, bad, sample
+
+
+@pytest.mark.parametrize("good, bad, sample", list(hypergeometric_cases()))
+def test_hypergeometric_draws_as_numpy(good, bad, sample):
+    for t in range(24):
+        words, rng = twin_streams(20, (good % 1000, bad % 1000, sample % 1000, t))
+        assert words.below(2) == rng.integers(0, 2)
+        assert words.hypergeometric(good, bad, sample) == rng.hypergeometric(good, bad, sample)
+        assert words.below(2) == rng.integers(0, 2)
+        assert words.rng.random() == rng.random()
+
+
+def test_below_refuses_an_empty_range_as_numpy_does():
+    words, rng = twin_streams(21, (1,))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="high <= 0"):
+            words.below(n)
+        with pytest.raises(ValueError, match="high <= 0"):
+            rng.integers(0, n)
+    # nothing was drawn: the streams still agree, kept half included
+    assert words.below(7) == rng.integers(0, 7)
+    assert words.below(2) == rng.integers(0, 2)
+
+
+def test_hypergeometric_refuses_what_numpy_refuses():
+    words, rng = twin_streams(21, (0,))
+    for good, bad in [(10**9, 5), (5, 10**9)]:
+        with pytest.raises(ValueError, match="less than 1000000000") as ours:
+            words.hypergeometric(good, bad, 3)
+        with pytest.raises(ValueError) as theirs:
+            rng.hypergeometric(good, bad, 3)
+        assert str(ours.value) == str(theirs.value)
