@@ -181,10 +181,11 @@ def subset_mixture_success(n: int, c: int, promise: bool) -> Fraction:
 
     Averages the vote over the known-edge count K (:func:`_known_edge_law`).
     Without the promise, success given K is :func:`known_edge_success`.
-    With ``promise``, it also averages over the source
-    bit, the disagreement count d inside the promise and the disagreeing
-    known edges, Hypergeometric(n, d, K); that costs O(n c^2) big-integer
-    terms.
+    With ``promise``, it also averages over the disagreement count d
+    inside the promise and the disagreeing known edges,
+    Hypergeometric(n, d, K); that costs O(n c^2) big-integer terms.
+    Source 1 mirrors source 0 at d -> n - d and j -> K - j, so the
+    source-0 half alone is the average.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -192,25 +193,20 @@ def subset_mixture_success(n: int, c: int, promise: bool) -> Fraction:
     if not promise:
         # the k known observations are then independent 3/4-biased votes
         return sum(p_k * known_edge_success(k) for k, p_k in enumerate(law))
-    laws = [_count_law(n, b, promise) for b in (0, 1)]
-    # d -> n - d keeps the promise and swaps the two laws, so their masses agree
-    mass = laws[0][1]
+    weights, mass = _count_law(n, promise)
     total = Fraction(0)
     for k, p_k in enumerate(law):
-        # twice the winning chance of the vote with j of k known edges
-        # disagreeing: guess 1 iff 2j > k, a tie is a fair coin
+        # twice the winning chance of the vote under source 0 with j of k
+        # known edges disagreeing: guess 0 iff 2j < k, a tie is a fair coin
         wins2 = sum(
             weight
             * sum(
-                math.comb(d, j)
-                * math.comb(n - d, k - j)
-                * (1 if 2 * j == k else 2 * ((2 * j > k) == b))
+                math.comb(d, j) * math.comb(n - d, k - j) * (1 if 2 * j == k else 2 * (2 * j < k))
                 for j in range(k + 1)
             )
-            for b in (0, 1)
-            for d, weight in laws[b][0].items()
+            for d, weight in weights.items()
         )
-        total += p_k * Fraction(wins2, 4 * math.comb(n, k) * mass)
+        total += p_k * Fraction(wins2, 2 * math.comb(n, k) * mass)
     return total
 
 

@@ -180,17 +180,18 @@ def _noise_weights(n: int) -> tuple[list[int], int]:
     return [a ** (n - h) * (q - a) ** h for h in range(n + 1)], q**n
 
 
-def _count_law(n: int, b: int, promise: bool) -> tuple[dict[int, int], int]:
-    """Law of the disagreement count d given the source bit b, in whole numbers.
+def _count_law(n: int, promise: bool) -> tuple[dict[int, int], int]:
+    """Law of the disagreement count d under source 0, in whole numbers.
 
-    Returns the weights ``q^n P(d | b)`` of the counts kept, keyed by d,
-    and their sum; p = a/q is :data:`NOISE_BIAS`.  The law is Binomial(n,
-    1/4) for b = 0 and Binomial(n, 3/4) for b = 1.  With ``promise`` only
-    the counts inside the promise are kept, so the sum is their mass.
+    Returns the weights ``q^n P(d | 0)`` of the counts kept, keyed by d,
+    and their sum; p = a/q is :data:`NOISE_BIAS`, so the law is
+    Binomial(n, 1/4).  With ``promise`` only the counts inside the
+    promise are kept, so the sum is their mass.  Source 1 is the mirror:
+    P(d | 1) = P(n - d | 0), and the promise keeps d iff it keeps n - d,
+    so both sources keep the same mass.
     """
     a, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
-    u = a if b else q - a  # q times the chance that one edge disagrees
-    v = q - u
+    u, v = q - a, a  # q times the chances that one edge disagrees and agrees
     weights = {}
     weight = v**n
     for d in range(n + 1):
@@ -270,10 +271,10 @@ def promise_outside_probability(n: int) -> Fraction:
 
     The disagreement count is Binomial(n, 1/4) under source 0 and
     Binomial(n, 3/4) under source 1; both give the same outside mass by
-    the h -> n-h symmetry, so the mixture mass is one minus the mass
-    :func:`_count_law` keeps under source 0.
+    the d -> n - d mirror, so the mixture mass is one minus the mass
+    :func:`_count_law` keeps.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _, mass = _count_law(n, 0, promise=True)
+    _, mass = _count_law(n, promise=True)
     return 1 - Fraction(mass, NOISE_BIAS.denominator**n)

@@ -16,6 +16,10 @@ uniform edges directly and never build the basis.  The count-only form
 runs once per sweep trial, so it takes its r edges from the trial's
 :class:`seeding.HalfWords` reader, one ``below(n)`` each: the draws of
 numpy's ``integers(0, n, size=r)`` without its per-call overhead.
+
+The exact successes share one vote tail, :func:`_majority_wins`, in whole
+numbers; :func:`mixture_success` sums it over source 0 alone, the mirror
+of source 1 at d -> n - d.
 """
 
 from __future__ import annotations
@@ -145,8 +149,7 @@ def majority_votes(
     uniform edges.  PCG64 keeps its spare 32-bit half-word between blocks,
     so the runs draw exactly as one r-edge draw per run would.
     """
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"repetitions must be odd and positive, got {r}")
+    _check_odd(r)
     rows = max(1, _VOTE_BLOCK // r)
     guesses = np.empty(trials, dtype=np.uint8)
     for start in range(0, trials, rows):
@@ -183,50 +186,48 @@ def empirical_success(inst: BhmInstance, shots: int, rng: np.random.Generator) -
     return float(np.mean(guesses == inst.source))
 
 
-def majority_success(p: Fraction | float, r: int) -> Fraction | float:
-    """P[Binomial(r, p) > r/2] for odd r; exact when p is a Fraction."""
+def _check_odd(r: int) -> None:
     if r < 1 or r % 2 == 0:
         raise ValueError(f"repetitions must be odd and positive, got {r}")
-    q = 1 - p
-    return sum(math.comb(r, j) * p**j * q ** (r - j) for j in range((r + 1) // 2, r + 1))
 
 
-def _single_shot_success(n: int, d: int, source: int) -> Fraction:
-    """One shot's success with d disagreeing edges: (n - d)/n for source 0, d/n for 1."""
-    return Fraction(d, n) if source else Fraction(n - d, n)
+def _majority_wins(right: Fraction | float, wrong: Fraction | float, r: int) -> Fraction | float:
+    """Sum over j > r/2 of C(r, j) right^j wrong^(r-j), for odd r.
+
+    With right + wrong = 1 it is the chance that most of r independent
+    shots are right.  With whole numbers right + wrong = n it is that
+    chance times n^r, in whole numbers: n - d and d for source 0 when d
+    of the n edges disagree, d and n - d for source 1.
+    """
+    _check_odd(r)
+    return sum(math.comb(r, j) * right**j * wrong ** (r - j) for j in range((r + 1) // 2, r + 1))
 
 
-def mixture_success(n: int, r: int, promise: bool = True) -> Fraction:
+def majority_success(p: Fraction | float, r: int) -> Fraction | float:
+    """P[Binomial(r, p) > r/2] for odd r; exact when p is a Fraction."""
+    return _majority_wins(p, 1 - p, r)
+
+
+def mixture_success(n: int, r: int, promise: bool) -> Fraction:
     """Exact success of the r-shot protocol over the generating mixture.
 
     Averages :func:`exact_success` over the source bit and the
     disagreement count d, which is all it reads.  With ``promise``, d is
-    kept inside the promise only.  Each source bit's average is summed in
-    whole numbers: the weights of :func:`instances._count_law` times the
-    vote's success scaled by n^r.
+    kept inside the promise only.  Source 1 mirrors source 0 at d -> n - d,
+    so the source-0 half alone is one sum in whole numbers: the weights of
+    :func:`instances._count_law` times :func:`_majority_wins` at (n - d, d).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    scale = n**r
-    total = Fraction(0)
-    for b in (0, 1):
-        weights, mass = _count_law(n, b, promise)
-        wins = 0
-        for d, weight in weights.items():
-            tail = majority_success(_single_shot_success(n, d, b), r) * scale
-            if tail.denominator != 1:
-                raise ArithmeticError(f"vote success at d={d} times {scale} is not whole")
-            wins += weight * tail.numerator
-        total += Fraction(wins, 2 * mass * scale)
-    return total
+    weights, mass = _count_law(n, promise)
+    wins = sum(weight * _majority_wins(n - d, d, r) for d, weight in weights.items())
+    return Fraction(wins, mass * n**r)
 
 
 def exact_success(inst: BhmInstance, r: int = 1) -> Fraction:
     """Exact probability that the r-shot majority guess equals the source."""
     if inst.source is None:
         raise ValueError("instance has no source label")
-    p = _single_shot_success(inst.n, inst.disagreements(), inst.source)
-    result = majority_success(p, r)
-    if not isinstance(result, Fraction):
-        raise TypeError(f"exact success came out as {type(result).__name__}, not Fraction")
-    return result
+    n, d = inst.n, inst.disagreements()
+    right = d if inst.source else n - d
+    return Fraction(_majority_wins(right, n - right, r), n**r)

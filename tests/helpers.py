@@ -17,6 +17,7 @@ from bhm.classical import _known_edge_count, _known_edge_law
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import BitString, PerfectMatching
 from bhm.instances import BhmInstance, PromiseClass, classify_promise, sample_T
+from bhm.quantum import majority_success
 from bhm.seeding import substream
 from bhm.verify import CheckResult
 
@@ -203,6 +204,26 @@ def quantum_promise_success_oracle(n: int, r: int) -> Fraction:
         for d in kept
     )
     return Fraction(wins, sum(weight.values()) * n**r)
+
+
+def mixture_two_source_oracle(n: int, r: int, promise: bool) -> Fraction:
+    """Success of the r-shot vote over the mixture, summed over both source bits.
+
+    Under source b the count law is Binomial(n, 1/4) or Binomial(n, 3/4),
+    renormalised inside the promise with ``promise``, and one shot is
+    right with chance (n - d)/n for b = 0 and d/n for b = 1; one Fraction
+    per term.
+    """
+    total = Fraction(0)
+    for b in (0, 1):
+        law = {
+            d: p for d, p in _binomial_count_law(n, b).items() if not promise or _in_promise(n, d)
+        }
+        mass = sum(law.values())
+        for d, p_d in law.items():
+            right = Fraction(d if b else n - d, n)
+            total += p_d / (2 * mass) * majority_success(right, r)
+    return total
 
 
 def subset_promise_success_oracle(n: int, c: int) -> Fraction:

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +76,13 @@ def test_gate_metric_ratios_skip_pairs_missing_a_side(tmp_path, capsys):
 def test_rejects_extra_arguments(capsys):
     assert bench_trajectory.main(["a", "b"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_a_reader_that_stops_early_ends_the_run_without_a_traceback(monkeypatch):
+    # a pipe whose reader is gone, as after ``| head``: every write raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert bench_trajectory.main([str(ROOT)]) == 1
+        monkeypatch.undo()

@@ -149,7 +149,11 @@ def test_subset_mixture_success_equals_enumeration():
 
 
 def test_subset_mixture_success_equals_the_fraction_route():
-    for n, c in ((64, 16), (256, 11)):
+    # the source-0 half alone against both sources summed one Fraction at a time
+    grid = [
+        (n, c) for n in [*range(1, 13), 24] for c in sorted({0, 1, 2, 3, 5, 11, 2 * n}) if c <= 2 * n
+    ]
+    for n, c in [*grid, (64, 16), (256, 11)]:
         assert subset_mixture_success(n, c, promise=True) == subset_promise_success_oracle(n, c)
 
 

@@ -232,11 +232,12 @@ def test_source_and_count_follow_the_exact_law():
         words = HalfWords(substream(311, int(promise)))
         draws = np.array([_sample_source_and_count(n, words, promise) for _ in range(trials)])
         assert z_score(float(draws[:, 0].mean()), 0.5, trials) <= MC_Z_BOUND
+        weights, mass = _count_law(n, promise)
         for b in (0, 1):
             ds = draws[draws[:, 0] == b, 1]
             counts = np.bincount(ds, minlength=n + 1)
-            weights, mass = _count_law(n, b, promise)
-            law = {d: Fraction(w, mass) for d, w in weights.items()}
+            # source 1 reads the source-0 weights mirrored: P(d | 1) = P(n - d | 0)
+            law = {n - d if b else d: Fraction(w, mass) for d, w in weights.items()}
             for d in range(n + 1):
                 if d not in law:
                     assert counts[d] == 0
@@ -251,21 +252,24 @@ LAW_NS = [*range(1, 201), 256, 512, 1024, 2048]
 def test_count_law_weights_are_the_binomial_closed_form():
     # weights q^n P(d | b) = C(n, d) u^d v^(n-d), u/q the chance an edge disagrees;
     # that is C(n, d) noise patterns of weight d, each weighing what the
-    # noise law gives mu_b at one of them
+    # noise law gives mu_b at one of them; source 1 reads the source-0
+    # weights mirrored, at n - d
     a, q = NOISE_BIAS.numerator, NOISE_BIAS.denominator
     for n in LAW_NS:
         pattern, scale = _noise_weights(n)
         assert scale == q**n
+        weights, mass = _count_law(n, promise=False)
+        assert mass == q**n
         for b in (0, 1):
             u = a if b else q - a
             full = {d: math.comb(n, d) * u**d * (q - u) ** (n - d) for d in range(n + 1)}
-            assert _count_law(n, b, promise=False) == (full, q**n)
+            assert {d: weights[n - d if b else d] for d in range(n + 1)} == full
             by_pattern = {
                 d: math.comb(n, d) * pattern[n - d if b else d] for d in range(n + 1)
             }
             assert by_pattern == full
-            kept = {d: w for d, w in full.items() if 3 * d <= n or 3 * d >= 2 * n}
-            assert _count_law(n, b, promise=True) == (kept, sum(kept.values()))
+        kept = {d: w for d, w in weights.items() if 3 * d <= n or 3 * d >= 2 * n}
+        assert _count_law(n, promise=True) == (kept, sum(kept.values()))
 
 
 def test_promise_outside_probability_equals_the_fraction_sum():

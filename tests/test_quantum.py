@@ -37,6 +37,7 @@ from helpers import (
     binomial_tail_at_least,
     mixture_average,
     mixture_cells,
+    mixture_two_source_oracle,
     quantum_promise_success_oracle,
     quantum_trial_oracle,
 )
@@ -286,13 +287,6 @@ def test_exact_success_values():
         exact_success(inst, 4)
 
 
-def test_exact_success_guard_raises(monkeypatch):
-    monkeypatch.setattr(quantum, "majority_success", lambda p, r: float(p))
-    inst = pinned_instance(4, 1, source=0, rng=substream(514, 4))
-    with pytest.raises(TypeError, match="not Fraction"):
-        exact_success(inst)
-
-
 def test_majority_vote_is_the_batched_analytic_run(monkeypatch):
     # per run one draw of r edge indices, then the majority of their
     # disagreement bits; a 5-element block makes the draw cross block
@@ -379,11 +373,12 @@ def test_mixture_success_equals_the_integer_formula():
         assert mixture_success(n, 3, True) == quantum_promise_success_oracle(n, 3)
 
 
-def test_mixture_success_guard_raises(monkeypatch):
-    # a vote success that n^r does not scale to a whole number is refused
-    monkeypatch.setattr(quantum, "majority_success", lambda p, r: Fraction(1, 3))
-    with pytest.raises(ArithmeticError, match="not whole"):
-        mixture_success(4, 1)
+def test_mixture_success_equals_the_two_source_oracle():
+    # the source-0 half alone against both sources summed one Fraction at a time
+    for n in [*range(1, 41), 64, 100]:
+        for r in (1, 3, 5, 9):
+            for promise in (False, True):
+                assert mixture_success(n, r, promise) == mixture_two_source_oracle(n, r, promise)
 
 
 def test_majority_vote_count_is_the_vote_on_sorted_bits():

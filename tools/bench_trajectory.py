@@ -16,12 +16,15 @@ Usage, from the root of a checkout (standard library only):
 
     python3 tools/bench_trajectory.py [DIR]
 
-DIR defaults to the parent of this file's folder.
+DIR defaults to the parent of this file's folder.  When the reader
+closes the pipe early (``| head``), the script exits 1 without a
+traceback.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import statistics
 import sys
@@ -117,7 +120,14 @@ def main(argv: list[str]) -> int:
         print(f"usage: {Path(__file__).name} [DIR]", file=sys.stderr)
         return 2
     directory = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
-    print("\n".join(trajectory_lines(directory)))
+    try:
+        print("\n".join(trajectory_lines(directory)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); point stdout at devnull so
+        # the interpreter's flush at exit does not fail on the same pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
