@@ -170,13 +170,14 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
     for t in range(args.trials):
         rng = substream(args.seed, t)
         inst = sample_T(args.n, rng)
-        guess = quantum.run_repeated(inst, args.reps, rng)
+        disagree = quantum.disagreement_bits(inst)
+        guess = int(quantum.majority_votes(disagree, args.reps, 1, rng)[0])
         rows.append(
             {
                 "trial": t,
                 "n": args.n,
                 "r": args.reps,
-                "d": inst.disagreements(),
+                "d": int(disagree.sum()),
                 "source": inst.source,
                 "guess": guess,
                 "correct": int(guess == inst.source),
@@ -228,6 +229,10 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be even, got {args.k}")
     if not 2 <= args.k <= 2 * args.n:
         raise ValueError(f"--k must be in 2..{2 * args.n}, got {args.k}")
+    if args.mc is not None:
+        _check_positive("--mc", args.mc)
+        if args.seed is None:
+            raise ValueError("--mc requires --seed")
     exact = combinatorics.gamma_exact(args.n, args.k)
     record: dict[str, Any] = {
         "n": args.n,
@@ -239,9 +244,6 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         "proof_relevant": args.k % 4 == 2,
     }
     if args.mc is not None:
-        _check_positive("--mc", args.mc)
-        if args.seed is None:
-            raise ValueError("--mc requires --seed")
         est = combinatorics.gamma_monte_carlo(
             args.n, args.k, args.mc, substream(args.seed, 0)
         )

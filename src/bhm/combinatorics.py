@@ -60,12 +60,13 @@ def _validate_weight(n: int, k: int) -> None:
 def gamma_exact(n: int, k: int) -> Fraction:
     """Exact probability that a weight-k support is a union of matching edges.
 
-    Equals count(k) * count(2n-k) / count(2n) as a reduced rational.
+    Equals count(k) * count(2n-k) / count(2n) as a reduced rational; the
+    ratio count(2n) / count(2n-k) is the k/2 odd factors (2n-1)(2n-3)...(2n-k+1).
+    The value is symmetric in k <-> 2n - k, so the smaller of the two is used.
     """
     _validate_weight(n, k)
-    return Fraction(
-        count_matchings(k) * count_matchings(2 * n - k), count_matchings(2 * n)
-    )
+    k = min(k, 2 * n - k)
+    return Fraction(count_matchings(k), math.prod(range(2 * n - 1, 2 * n - k, -2)))
 
 
 def gamma_bound(n: int, k: int) -> float:

@@ -9,10 +9,13 @@ edge.  Amplitudes stay real throughout: the protocol never creates a
 complex phase.
 
 Measurement has one route: :func:`measure_matching_basis` samples from
-the squared inner products of the explicit basis.  It is the oracle that
+the squared inner products of the explicit basis.  It and
+:func:`run_single`, the protocol exactly as stated, are the oracles that
 tests and ``verify`` hold the r-shot vote :func:`majority_votes` and its
 count-only form :func:`majority_vote_count` against; those draw the
-uniform edges directly and never build the basis.  The count-only form
+uniform edges directly and never build the basis.  Every Monte-Carlo
+vote on a whole instance is :func:`majority_votes` on its
+:func:`disagreement_bits`.  The count-only form
 runs once per sweep trial, so it takes its r edges from the trial's
 :class:`seeding.HalfWords` reader, one ``below(n)`` each: the draws of
 numpy's ``integers(0, n, size=r)`` without its per-call overhead.
@@ -128,14 +131,6 @@ def run_single(inst: BhmInstance, rng: np.random.Generator) -> int:
     return parity ^ inst.w.bit(edge + 1)
 
 
-def run_repeated(inst: BhmInstance, r: int, rng: np.random.Generator) -> int:
-    """Bob's majority guess over r independent runs, each with a fresh message state.
-
-    The r messages cost ``r * message_qubits(inst.n)`` qubits in all.
-    """
-    return int(majority_votes(_disagreement_bits(inst), r, 1, rng)[0])
-
-
 #: Shot draws per block of :func:`majority_votes`, so memory does not grow with trials.
 _VOTE_BLOCK = 1 << 16
 
@@ -172,18 +167,9 @@ def majority_vote_count(n: int, d: int, r: int, words: HalfWords) -> int:
     return 1 if 2 * ones > r else 0
 
 
-def _disagreement_bits(inst: BhmInstance) -> np.ndarray:
+def disagreement_bits(inst: BhmInstance) -> np.ndarray:
+    """Bit i is 1 where w disagrees with the parity of edge i: (Mx xor w)_i."""
     return apply_matching(inst.matching, inst.x).bits ^ inst.w.bits
-
-
-def empirical_success(inst: BhmInstance, shots: int, rng: np.random.Generator) -> float:
-    """Fraction of single-shot guesses matching the source over many shots."""
-    if inst.source is None:
-        raise ValueError("instance has no source label")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    guesses = majority_votes(_disagreement_bits(inst), 1, shots, rng)
-    return float(np.mean(guesses == inst.source))
 
 
 def _check_odd(r: int) -> None:

@@ -218,7 +218,7 @@ def check_measurement_probabilities(seed: int) -> CheckResult:
     return CheckResult("measurement_probabilities", ok and worst <= 1e-12, max_gap=worst)
 
 
-def check_projector_vs_analytic(seed: int, shots: int = 100_000) -> CheckResult:
+def check_projector_vs_analytic(seed: int, shots: int) -> CheckResult:
     """Projector outcomes and the analytic law match the exact distribution per cell.
 
     The analytic law draws a uniform edge and reads the sign off its parity.
@@ -244,7 +244,7 @@ def check_projector_vs_analytic(seed: int, shots: int = 100_000) -> CheckResult:
     )
 
 
-def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
+def check_quantum_mc_grid(seed: int, shots: int) -> CheckResult:
     """Empirical single-shot success against the exact oracle on an (n, d) grid."""
     worst_z = 0.0
     case = 0
@@ -254,7 +254,10 @@ def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
             inst = instances.pinned_instance(n, d, source=0, rng=substream(seed, 9, case))
             case += 1
             p = float(quantum.exact_success(inst))
-            p_hat = quantum.empirical_success(inst, shots, substream(seed, 9, 100 + case))
+            guesses = quantum.majority_votes(
+                quantum.disagreement_bits(inst), 1, shots, substream(seed, 9, 100 + case)
+            )
+            p_hat = float(np.mean(guesses == inst.source))
             worst_z = max(worst_z, _z(p_hat, p, shots))
     return CheckResult("quantum_mc_vs_exact", worst_z <= 4.0, max_gap=worst_z, details={"unit": "z"})
 
@@ -263,7 +266,7 @@ def check_quantum_mc_grid(seed: int, shots: int = 20_000) -> CheckResult:
 AMPLIFICATION_REPS = (1, 3, 5, 9, 15)
 
 
-def check_amplification(seed: int, trials: int = 20_000) -> CheckResult:
+def check_amplification(seed: int, trials: int) -> CheckResult:
     """Majority-vote MC against the exact binomial tail at single-shot 2/3."""
     inst = instances.BhmInstance(
         x=BitString.zeros(6),
@@ -272,7 +275,7 @@ def check_amplification(seed: int, trials: int = 20_000) -> CheckResult:
         source=0,
     )
     ok = quantum.exact_success(inst) == Fraction(2, 3)
-    disagree = quantum._disagreement_bits(inst)
+    disagree = quantum.disagreement_bits(inst)
     worst_z = 0.0
     previous = Fraction(0)
     for i, r in enumerate(AMPLIFICATION_REPS):
@@ -299,7 +302,7 @@ def check_matching_counts() -> CheckResult:
     return CheckResult("matching_counts", ok)
 
 
-def check_gamma(seed: int, mc_trials: int = 20_000) -> CheckResult:
+def check_gamma(seed: int, mc_trials: int) -> CheckResult:
     """Exact value vs bound, MC agreement, support independence, root bound.
 
     The grid is n in (4, 8, 16) with even support weights k <= 8.
@@ -359,7 +362,7 @@ def check_density_normalization() -> CheckResult:
     return CheckResult("density_normalization", ok)
 
 
-def check_promise_rates(seed: int, trials: int = 10_000) -> CheckResult:
+def check_promise_rates(seed: int, trials: int) -> CheckResult:
     """Empirical outside-rate against the exact binomial tail at n = 50, 100; decreasing in n.
 
     Each trial makes the draws of :func:`instances.sample_T` on the array
@@ -391,7 +394,7 @@ def check_promise_rates(seed: int, trials: int = 10_000) -> CheckResult:
 # classical protocols
 
 
-def check_subset_oracle(seed: int, trials: int = 20_000) -> CheckResult:
+def check_subset_oracle(seed: int, trials: int) -> CheckResult:
     """Per-known-edge-count success against the exact vote oracle, at n = 32, c = 12."""
     ks, correct = classical.subset_trial_outcomes(32, 12, trials, seed)
     worst_z = 0.0
@@ -450,9 +453,7 @@ def run_fourier_suite(m: int, cases: int, seed: int) -> list[CheckResult]:
     ]
 
 
-def run_all(
-    seed: int, m: int = 8, cases: int = 50, trials: int = 20_000
-) -> list[CheckResult]:
+def run_all(seed: int, m: int, cases: int, trials: int) -> list[CheckResult]:
     """Every module's property suite at configurable sizes."""
     _check_fourier_sizes(m, cases)
     if trials < 1:

@@ -28,12 +28,11 @@ from bhm.instances import (
     sample_T,
 )
 from bhm.quantum import (
-    empirical_success,
+    disagreement_bits,
     exact_success,
     majority_success,
     majority_votes,
     message_qubits,
-    run_repeated,
 )
 from bhm.seeding import substream
 
@@ -67,7 +66,8 @@ def test_criterion_01_quantum_correctness():
         p = float(exact_success(inst))
         min_exact = min(min_exact, p)
         assert p >= 2 / 3  # the protocol guarantee on every promise instance
-        p_hat = empirical_success(inst, shots, substream(SEED_QUANTUM, 1, i))
+        guesses = majority_votes(disagreement_bits(inst), 1, shots, substream(SEED_QUANTUM, 1, i))
+        p_hat = float(np.mean(guesses == inst.source))
         var = max(p * (1 - p), 1e-12) / shots
         z = abs(p_hat - p) / math.sqrt(var)
         worst_z = max(worst_z, z)
@@ -108,11 +108,13 @@ def test_criterion_02_amplification():
         z = abs(hits / trials - p) / math.sqrt(p * (1 - p) / trials)
         worst_z = max(worst_z, z)
         assert z <= 3.0
-    # the batched vote is run_repeated performed trial after trial on one stream
+    # the batched vote is one-run votes performed trial after trial on one stream
+    assert disagreement_bits(inst).tolist() == disagree.tolist()
     for t in range(200):
         batched = majority_votes(disagree, 7, 2, substream(SEED_AMPLIFY, 999, t))
         rng = substream(SEED_AMPLIFY, 999, t)
-        assert [run_repeated(inst, 7, rng), run_repeated(inst, 7, rng)] == batched.tolist()
+        runs = [int(majority_votes(disagree, 7, 1, rng)[0]) for _ in range(2)]
+        assert runs == batched.tolist()
     report(
         "2 (amplification)",
         f"r in 1..45 odd at p=2/3, MC 1e5/r vs exact tail, worst |z|={worst_z:.2f}, "

@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from bhm import classical, cli, fourier, instances, quantum, verify
+from bhm import classical, cli, combinatorics, fourier, instances, quantum, verify
 from bhm.instances import BhmInstance, sample_T
-from bhm.quantum import message_qubits, run_repeated
+from bhm.quantum import disagreement_bits, majority_votes, message_qubits
 from bhm.seeding import substream
 
 from helpers import MC_Z_BOUND, z_score
@@ -63,7 +63,7 @@ def test_quantum_run_csv_schema_and_reproducibility(tmp_path):
     row = dict(zip(lines[0].split(","), lines[3].split(",")))
     rng = substream(21, int(row["trial"]))
     inst = sample_T(8, rng)
-    guess = run_repeated(inst, 3, rng)
+    guess = int(majority_votes(disagreement_bits(inst), 3, 1, rng)[0])
     assert int(row["d"]) == inst.disagreements()
     assert int(row["source"]) == inst.source
     assert int(row["guess"]) == guess
@@ -244,12 +244,7 @@ def test_injected_fault_fails_loudly(tmp_path, monkeypatch):
 
 def test_amplification_check_fails_on_a_wrong_single_shot_value(monkeypatch):
     # the single-shot precondition is part of the check's verdict, not an
-    # assert that python -O would strip; the votes come from one batched
-    # kernel call per r, never from a run_repeated call per trial
-    def per_trial(*args):
-        raise AssertionError("check_amplification ran a per-trial vote")
-
-    monkeypatch.setattr(quantum, "run_repeated", per_trial)
+    # assert that python -O would strip
     real = quantum.exact_success
     assert verify.check_amplification(3, trials=500).passed
     monkeypatch.setattr(
@@ -423,10 +418,11 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
 )
 def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, message):
     def no_draw(*args):
-        raise AssertionError("a draw ran before the flags were checked")
+        raise AssertionError("a draw or gamma_exact ran before the flags were checked")
 
     monkeypatch.setattr(cli, "substream", no_draw)
     monkeypatch.setattr(classical, "substream", no_draw)
+    monkeypatch.setattr(combinatorics, "gamma_exact", no_draw)
     out = tmp_path / "out"
     assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert f"error: {message}\n" == capsys.readouterr().err

@@ -48,6 +48,9 @@ def test_gamma_exact_closed_forms():
         assert gamma_exact(n, 2 * n) == 1
     assert gamma_exact(2, 2) == Fraction(1, 3)
     assert gamma_exact(8, 6) == Fraction(1, 143)
+    n = 10**6
+    assert gamma_exact(n, 4) == Fraction(3, (2 * n - 1) * (2 * n - 3))
+    assert gamma_exact(n, 2 * n - 2) == Fraction(1, 2 * n - 1)
 
 
 def test_gamma_exact_equals_telescoped_product():
@@ -56,6 +59,15 @@ def test_gamma_exact_equals_telescoped_product():
             numer = math.prod(range(k - 1, 0, -2))
             denom = math.prod(range(2 * n - 1, 2 * n - k, -2))
             assert gamma_exact(n, k) == Fraction(numer, denom)
+
+
+def test_gamma_exact_equals_double_factorial_ratio():
+    for n in range(1, 65):
+        for k in range(2, 2 * n + 1, 2):
+            ratio = Fraction(
+                count_matchings(k) * count_matchings(2 * n - k), count_matchings(2 * n)
+            )
+            assert gamma_exact(n, k) == ratio
 
 
 def test_gamma_exact_matches_direct_enumeration():

@@ -17,7 +17,7 @@ from bhm.instances import (
 )
 from bhm.quantum import (
     MessageState,
-    empirical_success,
+    disagreement_bits,
     exact_success,
     majority_success,
     majority_vote_count,
@@ -28,7 +28,6 @@ from bhm.quantum import (
     mixture_success,
     outcome_probabilities,
     prepare_state,
-    run_repeated,
     run_single,
 )
 from bhm.seeding import HalfWords, substream
@@ -204,30 +203,10 @@ def test_run_single_projector_path_agrees():
     assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
 
-def test_run_repeated_validation_and_cost():
-    inst = pinned_instance(5, 1, source=0, rng=substream(510, 0))
-    rng = substream(510, 1)
-    with pytest.raises(ValueError):
-        run_repeated(inst, 2, rng)
-    with pytest.raises(ValueError):
-        run_repeated(inst, 0, rng)
-    # the guess is a plain int, the batched vote over the instance's disagreement bits
-    disagree = apply_matching(inst.matching, inst.x).bits ^ inst.w.bits
-    guess = run_repeated(inst, 5, rng)
-    assert type(guess) is int
-    assert guess == majority_votes(disagree, 5, 1, substream(510, 1))[0]
-
-
 def _repeated_hits(inst, r, trials, stream):
-    """Right guesses of run_repeated(inst, r, stream(t)) over t < trials.
-
-    run_repeated is the batched vote on the instance's disagreement bits for
-    one run, so the bits are built once and the vote runs on the same
-    per-trial substreams; the first 200 trials hold run_repeated to it.
-    """
-    disagree = quantum._disagreement_bits(inst)
+    """Right guesses of one r-shot vote on the instance per substream stream(t), t < trials."""
+    disagree = disagreement_bits(inst)
     guesses = [int(majority_votes(disagree, r, 1, stream(t))[0]) for t in range(trials)]
-    assert [run_repeated(inst, r, stream(t)) for t in range(200)] == guesses[:200]
     return sum(guess == inst.source for guess in guesses)
 
 
@@ -351,10 +330,9 @@ def test_empirical_success_matches_exact():
         inst = pinned_instance(n, d, source=b, rng=substream(515, case))
         p = float(exact_success(inst))
         shots = 40_000
-        p_hat = empirical_success(inst, shots, substream(515, 100 + case))
+        guesses = majority_votes(disagreement_bits(inst), 1, shots, substream(515, 100 + case))
+        p_hat = float(np.mean(guesses == inst.source))
         assert abs(p_hat - p) <= 3 * math.sqrt(p * (1 - p) / shots)
-    with pytest.raises(ValueError):
-        empirical_success(BhmInstance(inst.x, inst.matching, inst.w, None), 10, substream(515, 999))
 
 
 def test_mixture_success_equals_enumeration():
