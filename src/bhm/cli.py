@@ -234,6 +234,17 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         if args.seed is None:
             raise ValueError("--mc requires --seed")
     exact = combinatorics.gamma_exact(args.n, args.k)
+    # gamma <= 1, so the denominator has the most digits: more than the
+    # limit iff it is at least 10**limit.  One of at most 3.32 * limit bits
+    # is smaller (log2 10 > 3.32), so 10**limit is built only for a
+    # denominator of about its own size.
+    limit = sys.get_int_max_str_digits()
+    denominator = exact.denominator
+    if limit and denominator.bit_length() > 3.32 * limit and denominator >= 10**limit:
+        raise ValueError(
+            f"--n {args.n} and --k {args.k} give an exact fraction of more than {limit} "
+            "digits, the interpreter's limit for integer string conversion"
+        )
     record: dict[str, Any] = {
         "n": args.n,
         "k": args.k,

@@ -95,6 +95,21 @@ class BitString:
         return f"BitString({self.to_text()!r})"
 
 
+def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
+    """New (n, 2) array of the rows (min, max) of ``pairs``, ordered by the min column.
+
+    The canonical order of a matching, fixed by one argsort; the sampler
+    and the :class:`PerfectMatching` constructor both call it.
+    """
+    first, second = pairs[:, 0], pairs[:, 1]
+    low = np.minimum(first, second)
+    order = low.argsort()
+    out = np.empty_like(pairs)
+    out[:, 0] = low[order]
+    out[:, 1] = np.maximum(first, second)[order]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PerfectMatching:
     """n disjoint pairs covering {1..2n}, canonicalized at construction.
@@ -115,11 +130,15 @@ class PerfectMatching:
             raise ValueError("edges must be a nonempty sequence of pairs")
         if pairs.dtype.kind not in "iu":
             raise ValueError("edge endpoints must be integers")
-        pairs = np.sort(pairs, axis=1).astype(np.int64, copy=False)
-        pairs = pairs[np.argsort(pairs[:, 0])]
-        if not np.array_equal(np.sort(pairs, axis=None), np.arange(1, pairs.size + 1)):
+        pairs = _canonical_pairs(pairs.astype(np.int64, copy=False))
+        seen = np.zeros(pairs.size, dtype=bool)
+        # rows are sorted by their min, so pairs[0, 0] is the least endpoint;
+        # 2n endpoints in 1..2n that mark all 2n slots are a permutation
+        if pairs[0, 0] >= 1 and pairs[:, 1].max() <= pairs.size:
+            pairs -= 1
+            seen[pairs] = True
+        if not seen.all():
             raise ValueError("edges must cover {1..2n} exactly once")
-        pairs -= 1
         pairs.setflags(write=False)
         object.__setattr__(self, "_pairs", pairs)
 

@@ -20,7 +20,13 @@ from typing import Any
 
 import numpy as np
 
-from .core import BitString, PerfectMatching, apply_matching, hamming_distance
+from .core import (
+    BitString,
+    PerfectMatching,
+    _canonical_pairs,
+    apply_matching,
+    hamming_distance,
+)
 from .errors import DimensionMismatch
 from .seeding import HalfWords
 
@@ -95,16 +101,19 @@ class BhmInstance:
 
 
 def _uniform_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Canonical 0-based (n, 2) pair array of a uniform perfect matching."""
-    pairs = rng.permutation(2 * n).reshape(n, 2)
-    pairs.sort(axis=1)
-    return pairs[np.argsort(pairs[:, 0])]
+    """Canonical 0-based (n, 2) pair array of a uniform perfect matching.
+
+    One ``permutation(2n)`` call read as n rows, put in canonical order by
+    ``core._canonical_pairs``, the helper the ``PerfectMatching``
+    constructor calls too.
+    """
+    return _canonical_pairs(rng.permutation(2 * n).reshape(n, 2))
 
 
 def _biased_bits(b: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent bits, each equal to b with probability 3/4."""
     flips = rng.random(n) >= float(NOISE_BIAS)
-    return np.where(flips, 1 - b, b).astype(np.uint8)
+    return (flips ^ bool(b)).view(np.uint8)
 
 
 def _sample_t_arrays(

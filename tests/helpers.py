@@ -31,6 +31,27 @@ def gf2_matrix_product(matching: PerfectMatching, x: BitString) -> np.ndarray:
     return (mat @ np.array(x.bits)) % 2
 
 
+def sorted_pairs_oracle(pairs) -> np.ndarray:
+    """A matching's canonical 0-based pairs by three sorts, with its constructor's checks.
+
+    Sorts each row, orders the rows by an argsort of the first column and
+    requires the whole array, sorted, to be 1..2n.  Raises the
+    ``ValueError`` messages of ``PerfectMatching``, which must equal it
+    array for array and message for message; ``_uniform_pairs`` must equal
+    it on ``permutation(2n)`` read as n rows, plus one.
+    """
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[0] == 0 or pairs.shape[1] != 2:
+        raise ValueError("edges must be a nonempty sequence of pairs")
+    if pairs.dtype.kind not in "iu":
+        raise ValueError("edge endpoints must be integers")
+    pairs = np.sort(pairs, axis=1).astype(np.int64, copy=False)
+    pairs = pairs[np.argsort(pairs[:, 0])]
+    if not np.array_equal(np.sort(pairs, axis=None), np.arange(1, pairs.size + 1)):
+        raise ValueError("edges must cover {1..2n} exactly once")
+    return pairs - 1
+
+
 def naive_walsh_coefficients(values: np.ndarray) -> np.ndarray:
     """O(4^m) double-loop transform with the 2^-m normalization."""
     size = len(values)

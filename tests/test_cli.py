@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -146,6 +147,21 @@ def test_gamma_report(tmp_path, capsys):
     assert run_cli(["gamma", "--n", "4", "--k", "3"]) == cli.EXIT_CONFIG
     assert run_cli(["gamma", "--n", "4", "--k", "2", "--mc", "100"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_gamma_refuses_an_exact_fraction_over_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(["gamma", "--n", "20000", "--k", "20000"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --n 20000 and --k 20000 give an exact fraction of more than {limit} "
+        "digits, the interpreter's limit for integer string conversion\n"
+    )
+    assert sys.get_int_max_str_digits() == limit
+    out = tmp_path / "g.json"
+    assert run_cli(["gamma", "--n", "5000", "--k", "5000", "--out", str(out)]) == 0
+    (record,) = read_json_lines(out)
+    exact = combinatorics.gamma_exact(5000, 5000)
+    assert record["exact_fraction"] == f"{exact.numerator}/{exact.denominator}"
 
 
 def test_gamma_with_monte_carlo(tmp_path):

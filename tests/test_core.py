@@ -14,7 +14,7 @@ from bhm.errors import DimensionMismatch
 from bhm.instances import sample_matching
 from bhm.seeding import substream
 
-from helpers import gf2_matrix_product
+from helpers import gf2_matrix_product, sorted_pairs_oracle
 
 
 def test_bitstring_round_trips():
@@ -125,6 +125,67 @@ def test_matching_text_round_trips_under_shuffled_pair_order(pairs):
     assert m.edges == tuple(sorted((min(p), max(p)) for p in pairs))
     twin = PerfectMatching(np.array(pairs[::-1]))
     assert twin == m and hash(twin) == hash(m)
+
+
+#: Endpoints that no matching on {1..2n} has: uint64 values on both sides
+#: of 2^63, where a cast to int64 turns negative, and up to 2^64 - 1.
+HUGE_ENDPOINTS = [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+
+
+@st.composite
+def endpoint_arrays(draw):
+    """Shuffled pairs of a matching, either intact or with one endpoint corrupted.
+
+    The corruptions are a repeated point, a self-pair, 0, 2n + 1, a
+    negative value, a huge uint64 value and a float array; intact and
+    small corrupted arrays also come as uint8 and uint64.
+    """
+    pairs = np.array(draw(shuffled_pairs()), dtype=np.int64)
+    flat = pairs.reshape(-1)
+    size = flat.size
+    at = draw(st.integers(0, size - 1))
+    corruption = draw(
+        st.sampled_from(["none", "repeat", "self", "zero", "over", "negative", "huge", "float"])
+    )
+    if corruption == "repeat":
+        flat[at] = flat[draw(st.integers(0, size - 1).filter(lambda i: i != at))]
+    elif corruption == "self":
+        row = at // 2
+        pairs[row, 1] = pairs[row, 0]
+    elif corruption == "zero":
+        flat[at] = 0
+    elif corruption == "over":
+        flat[at] = size + 1
+    elif corruption == "negative":
+        flat[at] = draw(st.integers(-(2**63), -1))
+        return pairs
+    elif corruption == "float":
+        return pairs.astype(np.float64)
+    elif corruption == "huge":
+        pairs = pairs.astype(np.uint64)
+        pairs.reshape(-1)[at] = draw(st.sampled_from(HUGE_ENDPOINTS))
+        return pairs
+    dtypes = [np.int64, np.uint64] + ([np.uint8] if pairs.max() <= 255 else [])
+    return pairs.astype(draw(st.sampled_from(dtypes)))
+
+
+def _outcome(route, pairs):
+    """The canonical pairs a route returns, or the message it raises."""
+    try:
+        return route(pairs).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(endpoint_arrays())
+def test_matching_constructor_equals_the_three_sort_oracle(pairs):
+    got = _outcome(lambda p: PerfectMatching(p).pairs_array(), pairs)
+    assert got == _outcome(sorted_pairs_oracle, pairs)
+    if isinstance(got, list):
+        stored = PerfectMatching(pairs).pairs_array()
+        assert stored.dtype == np.int64 and not stored.flags.writeable
+        assert not np.shares_memory(stored, pairs)
 
 
 def test_value_types_are_read_only_and_never_aliased():

@@ -19,6 +19,7 @@ from bhm.instances import (
     _sample_promise_arrays,
     _sample_source_and_count,
     _sample_t_arrays,
+    _uniform_pairs,
     classify_promise,
     density_mu,
     pinned_instance,
@@ -35,6 +36,7 @@ from helpers import (
     chi_square_statistic,
     promise_outside_oracle,
     promise_rates_oracle,
+    sorted_pairs_oracle,
     z_score,
 )
 
@@ -67,6 +69,27 @@ def test_sample_biased_statistics():
     long_draw = _biased_bits(0, 10_000, rng)
     ones = np.count_nonzero(long_draw) / 10_000
     assert abs(ones - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 10_000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 50, 100, 512])
+def test_uniform_pairs_equal_the_three_sort_oracle_draw_for_draw(n):
+    fast, oracle = substream(309, n), substream(309, n)
+    for _ in range(20):
+        pairs = _uniform_pairs(n, fast)
+        want = sorted_pairs_oracle(oracle.permutation(2 * n).reshape(n, 2) + 1)
+        assert pairs.dtype == want.dtype and pairs.tobytes() == want.tobytes()
+    assert fast.integers(0, 2**63) == oracle.integers(0, 2**63)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+@pytest.mark.parametrize("n", [1, 7, 64, 1000])
+def test_biased_bits_equal_the_where_form(b, n):
+    fast, oracle = substream(310, b, n), substream(310, b, n)
+    for _ in range(5):
+        bits = _biased_bits(b, n, fast)
+        flips = oracle.random(n) >= float(NOISE_BIAS)
+        want = np.where(flips, 1 - b, b).astype(np.uint8)
+        assert bits.dtype == np.uint8 and bits.tobytes() == want.tobytes()
 
 
 def test_sample_matching_trivial_and_validation():

@@ -13,7 +13,10 @@ from ``N``; a method is referenced by any attribute of its name.
 from __future__ import annotations
 
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bhm"
 
@@ -29,6 +32,13 @@ ALLOWED = {
     ),
     "core.BitString.to_index": "the documented way to index cube tables",
 }
+
+
+#: The modules that ``import bhm.cli`` loads: every module of the package.
+CLI_MODULES = [
+    "bhm", "bhm.classical", "bhm.cli", "bhm.combinatorics", "bhm.core", "bhm.errors",
+    "bhm.fourier", "bhm.instances", "bhm.quantum", "bhm.seeding", "bhm.verify",
+]
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -111,3 +121,11 @@ def test_a_bare_name_refers_to_its_own_module_or_an_import():
     }
     # b's bare check() is b.check, not a.check
     assert unreferenced_public_names(trees) == ["a.check"]
+
+
+def test_importing_the_cli_loads_the_same_bhm_modules():
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, bhm.cli; print(*sorted(m for m in sys.modules if m.startswith('bhm')))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.split() == CLI_MODULES
