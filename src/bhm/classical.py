@@ -23,7 +23,7 @@ import numpy as np
 from .combinatorics import MonteCarloEstimate, count_matchings, enumerate_matchings
 from .core import BitString, PerfectMatching
 from .errors import BudgetExceeded
-from .fourier import _popcounts, matching_image_table
+from .fourier import _index_bits, _popcounts, matching_image_table
 # _sample_t_arrays is not called here; the binding stays because
 # perfbench's tracer self-test checks that it wraps this module's name
 from .instances import (  # noqa: F401
@@ -269,8 +269,7 @@ def alice_constant(n: int) -> np.ndarray:
 
 def alice_parity(n: int) -> np.ndarray:
     """Message map sending the global parity of x."""
-    xs = np.arange(1 << (2 * n), dtype=np.uint64)
-    return np.bitwise_count(xs).astype(np.int64) & 1
+    return _popcounts(1 << (2 * n)) & 1
 
 
 def alice_dictator(n: int, position: int) -> np.ndarray:
@@ -363,8 +362,7 @@ def _bruteforce_one_bit(n: int) -> tuple[Fraction, int]:
     num_x = mass.shape[0]
     # fix alice(x index 0) = 0: complementing the map relabels messages only
     maps = np.arange(0, 1 << num_x, 2, dtype=np.int64)
-    member = (maps[:, None] >> np.arange(num_x)) & 1
-    mass1 = np.tensordot(member, mass, axes=1)  # joint mass of message class 1
+    mass1 = np.tensordot(_index_bits(maps, num_x), mass, axes=1)  # joint mass of message class 1
     mass0 = mass.sum(axis=0) - mass1
     score = _winning_mass(mass0) + _winning_mass(mass1)
     best = int(np.argmax(score))

@@ -3,7 +3,8 @@
 Subcommands: gen, quantum-run, classical-run, bruteforce, fourier-verify,
 gamma, sweep, verify-all.  Every stochastic subcommand requires an
 explicit --seed and is fully deterministic given it: identical seed and
-flags produce byte-identical output.  Exit codes: 0 success, 1
+flags produce byte-identical output.  bruteforce is exact and takes no
+--seed (``bhm bruteforce --seed 1`` exits 2).  Exit codes: 0 success, 1
 verification failure, 2 configuration error, 3 budget exceeded.
 """
 
@@ -234,22 +235,20 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         if args.seed is None:
             raise ValueError("--mc requires --seed")
     exact = combinatorics.gamma_exact(args.n, args.k)
-    # gamma <= 1, so the denominator has the most digits: more than the
-    # limit iff it is at least 10**limit.  One of at most 3.32 * limit bits
-    # is smaller (log2 10 > 3.32), so 10**limit is built only for a
-    # denominator of about its own size.
-    limit = sys.get_int_max_str_digits()
-    denominator = exact.denominator
-    if limit and denominator.bit_length() > 3.32 * limit and denominator >= 10**limit:
+    try:
+        exact_fraction = f"{exact.numerator}/{exact.denominator}"
+    except ValueError:
+        # Python refuses int-to-str past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
         raise ValueError(
             f"--n {args.n} and --k {args.k} give an exact fraction of more than {limit} "
             "digits, the interpreter's limit for integer string conversion"
-        )
+        ) from None
     record: dict[str, Any] = {
         "n": args.n,
         "k": args.k,
         "exact": float(exact),
-        "exact_fraction": f"{exact.numerator}/{exact.denominator}",
+        "exact_fraction": exact_fraction,
         "bound": combinatorics.gamma_bound(args.n, args.k),
         # lifted characters of odd weight have support weight 2 mod 4
         "proof_relevant": args.k % 4 == 2,
@@ -303,10 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_out(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+
     def add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
         p.add_argument("--seed", type=int, required=seed_required,
                        help="base seed; all randomness derives from it")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+        add_out(p)
 
     p = sub.add_parser("gen", help="sample instances as JSON lines")
     p.add_argument("--n", type=int, required=True)
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bruteforce", help="exact optimum over Alice maps")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--bits", type=int, default=1)
-    add_common(p, seed_required=False)
+    add_out(p)  # exact: no --seed
     p.set_defaults(func=_cmd_bruteforce)
 
     p = sub.add_parser("fourier-verify", help="Fourier identity suite")
@@ -374,10 +376,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        # every subcommand has --seed; substream refuses negative seeds too,
-        # but only once a run reaches its first draw
-        if args.seed is not None and args.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        # every subcommand but bruteforce has --seed; substream refuses
+        # negative seeds too, but only once a run reaches its first draw
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {seed}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -110,6 +110,9 @@ def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
+_NOT_A_COVER = "edges must cover {1..2n} exactly once"
+
+
 @dataclass(frozen=True, eq=False)
 class PerfectMatching:
     """n disjoint pairs covering {1..2n}, canonicalized at construction.
@@ -138,7 +141,7 @@ class PerfectMatching:
             pairs -= 1
             seen[pairs] = True
         if not seen.all():
-            raise ValueError("edges must cover {1..2n} exactly once")
+            raise ValueError(_NOT_A_COVER)
         pairs.setflags(write=False)
         object.__setattr__(self, "_pairs", pairs)
 
@@ -146,9 +149,11 @@ class PerfectMatching:
     def from_text(cls, text: str) -> PerfectMatching:
         """Parse the 'k1-l1,k2-l2,...' encoding."""
         try:
-            return cls(
-                tuple(tuple(int(v) for v in chunk.split("-")) for chunk in text.split(","))
-            )
+            edges = tuple(tuple(int(v) for v in chunk.split("-")) for chunk in text.split(","))
+            # numpy would hold an endpoint past int64 as a float or an object
+            if max(map(max, edges)) >= 1 << 63:
+                raise ValueError(_NOT_A_COVER)
+            return cls(edges)
         except ValueError as exc:
             raise ValueError(f"not a matching: {text!r} ({exc})") from exc
 

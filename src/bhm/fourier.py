@@ -35,12 +35,15 @@ CONVOLVE_MAX_DIM = 12
 _LIFT_MAX_DIM = 12
 
 
-def _as_table(values: np.ndarray | Iterable[float]) -> np.ndarray:
+def _as_table(values: np.ndarray | Iterable[float], m: int, noun: str) -> np.ndarray:
+    """Read-only float64 copy of a table of 2^m finite ``noun`` on {0,1}^m."""
     table = np.asarray(values, dtype=np.float64).copy()
     if table.ndim != 1 or table.size == 0 or table.size & (table.size - 1):
         raise ValueError("table length must be a power of two")
     if not np.all(np.isfinite(table)):
         raise ValueError("table values must be finite")
+    if table.size != 1 << m:
+        raise DimensionMismatch(f"dimension {m} needs {1 << m} {noun}, got {table.size}")
     table.setflags(write=False)
     return table
 
@@ -53,12 +56,7 @@ class CubeFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        table = _as_table(self.values)
-        if table.size != 1 << self.m:
-            raise DimensionMismatch(
-                f"dimension {self.m} needs {1 << self.m} values, got {table.size}"
-            )
-        object.__setattr__(self, "values", table)
+        object.__setattr__(self, "values", _as_table(self.values, self.m, "values"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +67,7 @@ class FourierSpectrum:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        table = _as_table(self.coefficients)
-        if table.size != 1 << self.m:
-            raise DimensionMismatch(
-                f"dimension {self.m} needs {1 << self.m} coefficients, got {table.size}"
-            )
+        table = _as_table(self.coefficients, self.m, "coefficients")
         object.__setattr__(self, "coefficients", table)
 
 
@@ -104,6 +98,11 @@ def _fwht(values: np.ndarray) -> np.ndarray:
 
 def _popcounts(size: int) -> np.ndarray:
     return np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
+
+
+def _index_bits(indices: np.ndarray, length: int) -> np.ndarray:
+    """int64 rows of the 0/1 bits of cube-table indices; column i holds bit 2**i."""
+    return (indices[:, None] >> np.arange(length)) & 1
 
 
 def transform(f: CubeFunction) -> FourierSpectrum:
@@ -230,11 +229,9 @@ def lift_index_table(matching: PerfectMatching) -> np.ndarray:
     Capped like :func:`matching_image_table`, whose 2^2n indices it addresses.
     """
     _check_table_dim(matching.size)
-    n = matching.n
     masks = (1 << matching.pairs_array()).sum(axis=1)
-    ss = np.arange(1 << n, dtype=np.int64)
-    bits = (ss[:, None] >> np.arange(n)) & 1
-    return bits @ masks  # edge masks are disjoint, so sum == bitwise or
+    # edge masks are disjoint, so sum == bitwise or
+    return _index_bits(np.arange(1 << matching.n), matching.n) @ masks
 
 
 def _lift_identity_gap(indices: np.ndarray, matching: PerfectMatching) -> float:

@@ -45,11 +45,6 @@ def _z(p_hat: float, p: float, trials: int) -> float:
 # core identities
 
 
-def _index_bits(indices: np.ndarray, length: int) -> np.ndarray:
-    """Rows of 0/1 bits of cube-table indices; column i holds bit 2**i."""
-    return ((indices[:, None] >> np.arange(length)) & 1).astype(np.uint8)
-
-
 def check_core_identities(seed: int) -> CheckResult:
     """Edge-parity product vs explicit GF(2) matrix, adjointness, lift weight.
 
@@ -61,18 +56,17 @@ def check_core_identities(seed: int) -> CheckResult:
     for n in range(1, 5):
         xs = np.arange(1 << (2 * n))
         ss = np.arange(1 << n)
-        x_rows = _index_bits(xs, 2 * n)
-        s_rows = _index_bits(ss, n)
+        x_rows = fourier._index_bits(xs, 2 * n)
+        s_rows = fourier._index_bits(ss, n)
         for pairs in combinatorics.enumerate_matchings(2 * n):
             matching = PerfectMatching(pairs)
             matrix = matching.matrix()
             image = fourier.matching_image_table(matching)
             lift = fourier.lift_index_table(matching)
-            # uint8 products wrap modulo 256, which keeps every parity mod 2
-            wrong = _index_bits(image, n) != (x_rows @ matrix.T) % 2
+            wrong = fourier._index_bits(image, n) != (x_rows @ matrix.T) % 2
             failures += int(np.count_nonzero(wrong.any(axis=1)))
             cases += xs.size
-            wrong = _index_bits(lift, 2 * n) != (s_rows @ matrix) % 2
+            wrong = fourier._index_bits(lift, 2 * n) != (s_rows @ matrix) % 2
             failures += int(np.count_nonzero(wrong.any(axis=1)))
             failures += int(np.count_nonzero(np.bitwise_count(lift) != 2 * np.bitwise_count(ss)))
             # <Mx, s> = <x, lift s> over GF(2), one row per s
@@ -311,11 +305,11 @@ def check_gamma(seed: int, mc_trials: int) -> CheckResult:
     ok = True
     case = 0
     for n in (4, 8, 16):
+        ok &= combinatorics.gamma_exact(n, 2) == Fraction(1, 2 * n - 1)
         for k in range(2, 9, 2):
             gamma = combinatorics.gamma_exact(n, k)
             bound = Fraction(k, 2 * n) ** (k // 2)
             ok &= gamma <= bound
-            ok &= combinatorics.gamma_exact(n, 2) == Fraction(1, 2 * n - 1)
             delta = float(gamma) ** (1.0 / k)
             ok &= k / (4 * delta) >= math.sqrt(2 * n * k) / 4 - 1e-12
             ok &= math.sqrt(2 * n * k) / 4 >= math.sqrt(n) / 2 - 1e-12

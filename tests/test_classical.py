@@ -243,6 +243,14 @@ def test_bayes_success_exact_values():
     assert bayes_success(alice_dictator(n, 1), n, 1) == Fraction(1, 2)
 
 
+def test_alice_parity_is_the_weight_parity_of_x():
+    for n in range(1, 5):
+        parity = alice_parity(n)
+        assert parity.dtype == np.int64
+        expected = [BitString.from_index(2 * n, i).hamming_weight() & 1 for i in range(1 << 2 * n)]
+        assert parity.tolist() == expected
+
+
 def test_bayes_success_equals_first_principles_oracle():
     for n in (1, 2):
         cells = mixture_cells(n)

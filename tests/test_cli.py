@@ -164,6 +164,30 @@ def test_gamma_refuses_an_exact_fraction_over_the_digit_limit(tmp_path, capsys):
     assert record["exact_fraction"] == f"{exact.numerator}/{exact.denominator}"
 
 
+def test_gamma_refuses_exactly_where_python_does(tmp_path, capsys):
+    # at n = k = 1314 the denominator has 640 digits, at n = k = 1324 it has 641
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        fits, over = combinatorics.gamma_exact(1314, 1314), combinatorics.gamma_exact(1324, 1324)
+        out = tmp_path / "g.json"
+        assert run_cli(["gamma", "--n", "1314", "--k", "1314", "--out", str(out)]) == 0
+        (record,) = read_json_lines(out)
+        assert record["exact_fraction"] == f"{fits.numerator}/{fits.denominator}"
+        assert len(str(fits.denominator)) == 640
+        with pytest.raises(ValueError):
+            str(over.denominator)
+        assert run_cli(["gamma", "--n", "1324", "--k", "1324"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --n 1324 and --k 1324 give an exact fraction of more than 640 "
+            "digits, the interpreter's limit for integer string conversion\n"
+        )
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(str(over.denominator)) == 641
+
+
 def test_gamma_with_monte_carlo(tmp_path):
     out = tmp_path / "g.json"
     code = run_cli(
@@ -483,6 +507,12 @@ def test_stochastic_commands_reject_negative_seed(tmp_path, capsys, argv):
     assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
     assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bruteforce_takes_no_seed(capsys):
+    # the command is exact, so a seed would be read by nothing
+    assert run_cli(["bruteforce", "--n", "2", "--bits", "1", "--seed", "1"]) == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_verify_all_smoke(tmp_path):

@@ -91,6 +91,23 @@ def test_matching_validation():
         PerfectMatching.from_text("1-2,3")
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [(f"1-2,3-{v}", "edges must cover {1..2n} exactly once")
+     for v in (2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**22)]
+    + [
+        ("1-2,3.0-4", "invalid literal for int() with base 10: '3.0'"),
+        ("1-2,3-x", "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_matching_text_refusals_name_the_reason(text, reason):
+    # numpy holds an endpoint of 2^63 or more as a float or an object, which
+    # must not read as the non-integer refusal
+    with pytest.raises(ValueError) as info:
+        PerfectMatching.from_text(text)
+    assert str(info.value) == f"not a matching: {text!r} ({reason})"
+
+
 #: Derandomized so the suite runs the same examples on every run.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 

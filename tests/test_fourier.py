@@ -9,6 +9,7 @@ from bhm import fourier
 from bhm.fourier import (
     DEFAULT_MAX_DIM,
     CubeFunction,
+    FourierSpectrum,
     _fwht,
     check_kkl,
     check_l1_l2,
@@ -33,16 +34,34 @@ def random_table(m, rng):
 
 
 def test_cube_function_validation():
-    with pytest.raises(DimensionMismatch):
-        CubeFunction(m=2, values=np.zeros(8))
-    with pytest.raises(ValueError):
-        CubeFunction(m=2, values=np.zeros(3))
-    with pytest.raises(ValueError):
-        CubeFunction(m=1, values=np.array([1.0, np.inf]))
+    # the refusals are in test_cube_tables_refuse_with_one_set_of_messages
     f = CubeFunction(m=2, values=[1.0, 2.0, 3.0, 4.0])
     assert f.values[BitString.from_text("10").to_index()] == 2.0  # position 1 is the low bit
     with pytest.raises(ValueError):
         f.values[0] = 0.0  # tables are frozen
+
+
+@pytest.mark.parametrize(
+    "table, noun", [(CubeFunction, "values"), (FourierSpectrum, "coefficients")]
+)
+def test_cube_tables_refuse_with_one_set_of_messages(table, noun):
+    with pytest.raises(ValueError, match=r"^table length must be a power of two$"):
+        table(2, np.zeros(3))
+    with pytest.raises(ValueError, match=r"^table values must be finite$"):
+        table(1, np.array([1.0, np.inf]))
+    with pytest.raises(DimensionMismatch) as info:
+        table(2, np.zeros(8))
+    assert str(info.value) == f"dimension 2 needs 4 {noun}, got 8"
+    values = getattr(table(1, [0.5, -0.5]), noun)
+    assert values.tolist() == [0.5, -0.5] and not values.flags.writeable
+
+
+def test_index_bits_rows_are_the_bitstring_bits():
+    for length in range(1, 11):
+        rows = fourier._index_bits(np.arange(1 << length), length)
+        assert rows.dtype == np.int64
+        expected = [BitString.from_index(length, i).bits for i in range(1 << length)]
+        assert np.array_equal(rows, expected)
 
 
 def test_transform_of_constant_and_characters():
