@@ -3,23 +3,14 @@ matching problem: the log-cost quantum one-way protocol, classical
 one-way baselines, and the Fourier/combinatorial identities behind
 their separation."""
 
-from .core import (
-    BitString,
-    PerfectMatching,
-    apply_matching,
-    hamming_distance,
-    lift_character,
-)
+from .core import BitString, PerfectMatching, apply_matching, lift_character
 from .errors import BudgetExceeded, DimensionMismatch
 from .instances import (
     NOISE_BIAS,
     BhmInstance,
-    PromiseClass,
-    classify_promise,
     density_mu,
     promise_outside_probability,
     sample_matching,
-    sample_promise_instance,
     sample_T,
 )
 
@@ -29,18 +20,14 @@ __all__ = [
     "BitString",
     "PerfectMatching",
     "apply_matching",
-    "hamming_distance",
     "lift_character",
     "BudgetExceeded",
     "DimensionMismatch",
     "NOISE_BIAS",
     "BhmInstance",
-    "PromiseClass",
-    "classify_promise",
     "density_mu",
     "promise_outside_probability",
     "sample_matching",
-    "sample_promise_instance",
     "sample_T",
     "__version__",
 ]

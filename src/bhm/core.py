@@ -110,6 +110,7 @@ def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
+_NOT_PAIRS = "edges must be a nonempty sequence of pairs"
 _NOT_A_COVER = "edges must cover {1..2n} exactly once"
 
 
@@ -128,9 +129,12 @@ class PerfectMatching:
     _pairs: np.ndarray
 
     def __post_init__(self) -> None:
-        pairs = np.asarray(self._pairs)
+        try:
+            pairs = np.asarray(self._pairs)
+        except ValueError:  # ragged edges, which numpy refuses as inhomogeneous
+            raise ValueError(_NOT_PAIRS) from None
         if pairs.ndim != 2 or pairs.shape[0] == 0 or pairs.shape[1] != 2:
-            raise ValueError("edges must be a nonempty sequence of pairs")
+            raise ValueError(_NOT_PAIRS)
         if pairs.dtype.kind not in "iu":
             raise ValueError("edge endpoints must be integers")
         pairs = _canonical_pairs(pairs.astype(np.int64, copy=False))
@@ -195,13 +199,6 @@ class PerfectMatching:
 
     def __repr__(self) -> str:
         return f"PerfectMatching({self.to_text()!r})"
-
-
-def hamming_distance(a: BitString, b: BitString) -> int:
-    """Number of positions where a and b differ."""
-    if a.length != b.length:
-        raise DimensionMismatch(f"lengths {a.length} and {b.length}")
-    return int(np.count_nonzero(a.bits != b.bits))
 
 
 def apply_matching(matching: PerfectMatching, x: BitString) -> BitString:

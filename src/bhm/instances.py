@@ -1,4 +1,4 @@
-"""Instance distributions and promise classification.
+"""Instance distributions and the promise rule.
 
 An instance is a triple (x, M, w): Alice's string x of length 2n, Bob's
 matching M on {1..2n} and his noisy parity observations w of length n.
@@ -6,27 +6,20 @@ The generating mixture draws x and M uniformly, a fair source bit b, and
 then w agreeing with the edge parities of x on each position with
 probability 3/4 (b = 0) or disagreeing with probability 3/4 (b = 1).
 
-Promise classification is pure integer arithmetic: with d the number of
-positions where w disagrees with the edge parities, an instance is a
-zero instance iff 3d <= n and a one instance iff 3d >= 2n.
+The promise is pure integer arithmetic: with d the number of positions
+where w disagrees with the edge parities, an instance is inside it iff
+3d <= n (a zero instance) or 3d >= 2n (a one instance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .core import (
-    BitString,
-    PerfectMatching,
-    _canonical_pairs,
-    apply_matching,
-    hamming_distance,
-)
+from .core import BitString, PerfectMatching, _canonical_pairs, apply_matching
 from .errors import DimensionMismatch
 from .seeding import HalfWords
 
@@ -34,12 +27,6 @@ from .seeding import HalfWords
 #: 3/4 everywhere; threaded as a constant so densities, samplers and
 #: oracles cannot drift apart.
 NOISE_BIAS = Fraction(3, 4)
-
-
-class PromiseClass(Enum):
-    ZERO = "zero"
-    ONE = "one"
-    OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
@@ -66,10 +53,6 @@ class BhmInstance:
     @property
     def n(self) -> int:
         return self.matching.n
-
-    def disagreements(self) -> int:
-        """d = number of positions where w differs from the edge parities."""
-        return hamming_distance(apply_matching(self.matching, self.x), self.w)
 
     def to_json_dict(self) -> dict[str, Any]:
         record: dict[str, Any] = {
@@ -133,13 +116,9 @@ def _sample_t_arrays(
     return x, pairs, w, b, noise
 
 
-def _classify_counts(n: int, d: int) -> PromiseClass:
+def _in_promise(n: int, d: int) -> bool:
     """The promise rule, the one place it is written: 3d <= n or 3d >= 2n."""
-    if 3 * d <= n:
-        return PromiseClass.ZERO
-    if 3 * d >= 2 * n:
-        return PromiseClass.ONE
-    return PromiseClass.OUTSIDE
+    return 3 * d <= n or 3 * d >= 2 * n
 
 
 def _sample_promise_arrays(
@@ -148,8 +127,7 @@ def _sample_promise_arrays(
     """Rejection-sample until the promise holds; returns the accepted draw as it is."""
     while True:
         draw = _sample_t_arrays(n, rng)
-        d = int(np.count_nonzero(draw[-1]))
-        if _classify_counts(n, d) is not PromiseClass.OUTSIDE:
+        if _in_promise(n, int(np.count_nonzero(draw[-1]))):
             return draw
 
 
@@ -173,7 +151,7 @@ def _sample_source_and_count(
     while True:
         b = words.below(2)
         d = int(binomial(n, _DISAGREE_PROB[b]))
-        if not restrict_promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE:
+        if not restrict_promise or _in_promise(n, d):
             return b, d
 
 
@@ -204,20 +182,12 @@ def _count_law(n: int, promise: bool) -> tuple[dict[int, int], int]:
     weights = {}
     weight = v**n
     for d in range(n + 1):
-        if not promise or _classify_counts(n, d) is not PromiseClass.OUTSIDE:
+        if not promise or _in_promise(n, d):
             weights[d] = weight
         # the pmf ratio recurrence; the floor division is exact because the
         # next weight C(n, d+1) u^(d+1) v^(n-d-1) is itself a whole number
         weight = weight * (n - d) * u // ((d + 1) * v)
     return weights, sum(weights.values())
-
-
-def _instance_from_arrays(
-    x: np.ndarray, pairs: np.ndarray, w: np.ndarray, b: int
-) -> BhmInstance:
-    return BhmInstance(
-        x=BitString(x), matching=PerfectMatching(pairs + 1), w=BitString(w), source=b
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +214,9 @@ def sample_T(n: int, rng: np.random.Generator) -> BhmInstance:
     if n < 1:
         raise ValueError("n must be positive")
     x, pairs, w, b, _ = _sample_t_arrays(n, rng)
-    return _instance_from_arrays(x, pairs, w, b)
-
-
-def sample_promise_instance(n: int, rng: np.random.Generator) -> BhmInstance:
-    """Rejection-sample the mixture until the promise holds."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    x, pairs, w, b, _ = _sample_promise_arrays(n, rng)
-    return _instance_from_arrays(x, pairs, w, b)
+    return BhmInstance(
+        x=BitString(x), matching=PerfectMatching(pairs + 1), w=BitString(w), source=b
+    )
 
 
 def pinned_instance(
@@ -269,10 +233,6 @@ def pinned_instance(
     flips[rng.choice(n, size=d, replace=False)] = 1
     w = BitString(apply_matching(matching, x).bits ^ flips)
     return BhmInstance(x=x, matching=matching, w=w, source=source)
-
-
-def classify_promise(inst: BhmInstance) -> PromiseClass:
-    return _classify_counts(inst.n, inst.disagreements())
 
 
 def promise_outside_probability(n: int) -> Fraction:

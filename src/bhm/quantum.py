@@ -214,6 +214,6 @@ def exact_success(inst: BhmInstance, r: int = 1) -> Fraction:
     """Exact probability that the r-shot majority guess equals the source."""
     if inst.source is None:
         raise ValueError("instance has no source label")
-    n, d = inst.n, inst.disagreements()
+    n, d = inst.n, int(np.count_nonzero(disagreement_bits(inst)))
     right = d if inst.source else n - d
     return Fraction(_majority_wins(right, n - right, r), n**r)

@@ -11,7 +11,7 @@ from bhm.instances import BhmInstance, sample_T
 from bhm.quantum import disagreement_bits, majority_votes, message_qubits
 from bhm.seeding import substream
 
-from helpers import MC_Z_BOUND, z_score
+from helpers import MC_Z_BOUND, disagreement_count, z_score
 
 
 def run_cli(argv):
@@ -65,7 +65,7 @@ def test_quantum_run_csv_schema_and_reproducibility(tmp_path):
     rng = substream(21, int(row["trial"]))
     inst = sample_T(8, rng)
     guess = int(majority_votes(disagreement_bits(inst), 3, 1, rng)[0])
-    assert int(row["d"]) == inst.disagreements()
+    assert int(row["d"]) == disagreement_count(inst)
     assert int(row["source"]) == inst.source
     assert int(row["guess"]) == guess
     assert int(row["qubit_cost"]) == 3 * message_qubits(8)

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhm.combinatorics import enumerate_matchings
-from bhm.core import (
-    BitString,
-    PerfectMatching,
-    apply_matching,
-    hamming_distance,
-    lift_character,
-)
+from bhm.core import BitString, PerfectMatching, apply_matching, lift_character
 from bhm.errors import DimensionMismatch
 from bhm.instances import sample_matching
 from bhm.seeding import substream
@@ -91,6 +85,14 @@ def test_matching_validation():
         PerfectMatching.from_text("1-2,3")
 
 
+def test_matching_constructor_refuses_ragged_edges():
+    # numpy refuses ragged rows as an inhomogeneous shape; the constructor names the rule
+    for edges in (((1, 2), (3,)), ((1, 2, 3), (4, 5)), [[1, 2], []]):
+        with pytest.raises(ValueError) as info:
+            PerfectMatching(edges)
+        assert str(info.value) == "edges must be a nonempty sequence of pairs"
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [(f"1-2,3-{v}", "edges must cover {1..2n} exactly once")
@@ -98,6 +100,8 @@ def test_matching_validation():
     + [
         ("1-2,3.0-4", "invalid literal for int() with base 10: '3.0'"),
         ("1-2,3-x", "invalid literal for int() with base 10: 'x'"),
+        ("1-2,3", "edges must be a nonempty sequence of pairs"),
+        ("1-2-3,4-5", "edges must be a nonempty sequence of pairs"),
     ],
 )
 def test_matching_text_refusals_name_the_reason(text, reason):
@@ -308,16 +312,6 @@ def test_lift_weight_randomized():
         matching = sample_matching(n, rng)
         s = BitString(rng.integers(0, 2, size=n))
         assert lift_character(matching, s).hamming_weight() == 2 * s.hamming_weight()
-
-
-def test_hamming_distance():
-    assert hamming_distance(BitString.from_text("0110"), BitString.from_text("0110")) == 0
-    assert hamming_distance(BitString.from_text("0000"), BitString.from_text("1111")) == 4
-    assert hamming_distance(BitString.from_text("0110"), BitString.from_text("1100")) == 2
-    a, b = BitString.from_text("0101"), BitString.from_text("1001")
-    assert hamming_distance(a, b) == hamming_distance(b, a)
-    with pytest.raises(DimensionMismatch):
-        hamming_distance(a, BitString.from_text("01"))
 
 
 def test_dimension_errors():

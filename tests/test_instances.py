@@ -12,20 +12,18 @@ from bhm.errors import DimensionMismatch
 from bhm.instances import (
     NOISE_BIAS,
     BhmInstance,
-    PromiseClass,
     _biased_bits,
     _count_law,
+    _in_promise,
     _noise_weights,
     _sample_promise_arrays,
     _sample_source_and_count,
     _sample_t_arrays,
     _uniform_pairs,
-    classify_promise,
     density_mu,
     pinned_instance,
     promise_outside_probability,
     sample_matching,
-    sample_promise_instance,
     sample_T,
 )
 from bhm.seeding import HalfWords, substream
@@ -34,8 +32,10 @@ from bhm.verify import check_promise_rates
 from helpers import (
     MC_Z_BOUND,
     chi_square_statistic,
+    disagreement_count,
     promise_outside_oracle,
     promise_rates_oracle,
+    sample_promise_instance,
     sorted_pairs_oracle,
     z_score,
 )
@@ -178,7 +178,7 @@ def test_sample_T_outside_rate_matches_exact_tail():
     outside = 0
     for t in range(trials):
         inst = sample_T(n, substream(307, t))
-        outside += classify_promise(inst) is PromiseClass.OUTSIDE
+        outside += not _in_promise(n, disagreement_count(inst))
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(outside / trials - exact) <= 3 * sigma
 
@@ -219,21 +219,23 @@ def test_instance_validation_and_json():
         BhmInstance.from_json_dict(bad)
 
 
+# the ids keep each cell's name from when the rule answered with a
+# three-valued PromiseClass: ZERO is 3d <= n, ONE is 3d >= 2n
 @pytest.mark.parametrize(
-    "n, d, expected",
+    "n, d, inside",
     [
-        (3, 1, PromiseClass.ZERO),
-        (3, 2, PromiseClass.ONE),
-        (4, 2, PromiseClass.OUTSIDE),
-        (6, 2, PromiseClass.ZERO),
-        (6, 4, PromiseClass.ONE),
-        (6, 3, PromiseClass.OUTSIDE),
+        pytest.param(3, 1, True, id="3-1-PromiseClass.ZERO"),
+        pytest.param(3, 2, True, id="3-2-PromiseClass.ONE"),
+        pytest.param(4, 2, False, id="4-2-PromiseClass.OUTSIDE"),
+        pytest.param(6, 2, True, id="6-2-PromiseClass.ZERO"),
+        pytest.param(6, 4, True, id="6-4-PromiseClass.ONE"),
+        pytest.param(6, 3, False, id="6-3-PromiseClass.OUTSIDE"),
     ],
 )
-def test_classify_promise_thresholds(n, d, expected):
+def test_classify_promise_thresholds(n, d, inside):
     inst = pinned_instance(n, d, source=0, rng=substream(309, n * 10 + d))
-    assert inst.disagreements() == d
-    assert classify_promise(inst) is expected
+    assert disagreement_count(inst) == d
+    assert _in_promise(n, d) is inside
 
 
 @pytest.mark.parametrize("sampler", [_sample_t_arrays, _sample_promise_arrays])
@@ -246,7 +248,7 @@ def test_sampled_noise_is_the_disagreement_bits(sampler):
 def test_sample_promise_instance_never_outside():
     for t in range(200):
         inst = sample_promise_instance(3, substream(310, t))
-        assert classify_promise(inst) is not PromiseClass.OUTSIDE
+        assert _in_promise(3, disagreement_count(inst))
 
 
 def test_source_and_count_follow_the_exact_law():

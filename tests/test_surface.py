@@ -8,6 +8,9 @@ deleted or listed below with the reason it stays.
 A definition ``f`` of module ``N`` is referenced by ``N.f`` anywhere, and
 by a bare ``f`` only inside ``N`` or inside a module that imports ``f``
 from ``N``; a method is referenced by any attribute of its name.
+
+``bhm.__all__`` and the imports of ``bhm/__init__.py`` agree: every
+listed name resolves, and every public name imported there is listed.
 """
 
 from __future__ import annotations
@@ -18,18 +21,16 @@ from pathlib import Path
 import subprocess
 import sys
 
+import bhm
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bhm"
 
 #: Names kept without a caller in the package, each with its reason.
 ALLOWED = {
     "quantum.run_single": "the protocol exactly as stated; tests hold the runners against it",
     "quantum.mixture_success": "exact oracle that tests hold the sweep's quantum column against",
-    "instances.sample_promise_instance": "whole promise instances for acceptance criterion 1",
     "instances.BhmInstance.from_json_dict": "reads gen output back; perfbench's gen check uses it",
     "core.PerfectMatching.edges": "the 1-based view of a matching that the README documents",
-    "instances.classify_promise": (
-        "object-level promise classification; tests hold the array kernel against it"
-    ),
     "core.BitString.to_index": "the documented way to index cube tables",
 }
 
@@ -111,6 +112,23 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_every_allowlisted_name_still_exists_without_a_caller():
     # an entry whose name gained a caller or was deleted is stale
     assert sorted(ALLOWED.keys() - set(unreferenced_public_names(package_trees()))) == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in bhm.__all__ if not hasattr(bhm, name)] == []
+
+
+def test_every_public_reexport_is_exported():
+    # a stale re-export would otherwise only break ``from bhm import *``
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert sorted(public - set(bhm.__all__)) == []
 
 
 def test_a_bare_name_refers_to_its_own_module_or_an_import():
