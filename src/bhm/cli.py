@@ -5,7 +5,8 @@ gamma, sweep, verify-all.  Every stochastic subcommand requires an
 explicit --seed and is fully deterministic given it: identical seed and
 flags produce byte-identical output.  bruteforce is exact and takes no
 --seed (``bhm bruteforce --seed 1`` exits 2).  Exit codes: 0 success, 1
-verification failure, 2 configuration error, 3 budget exceeded.
+verification failure, 2 configuration error, 3 budget exceeded, 4
+internal error (any other exception, its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Any, Sequence
 
 from . import classical, combinatorics, quantum, verify
@@ -26,6 +28,17 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+# argparse dest -> (least value, must be odd, rule).  main checks each flag the
+# command has and set, in this order, before the command's own rules run
+_POSITIVE = (1, False, "positive")
+_NONNEGATIVE = (0, False, "nonnegative")
+_FLAG_RULES: dict[str, tuple[int, bool, str]] = {
+    "seed": _NONNEGATIVE, "n": _POSITIVE, "m": _POSITIVE, "cases": _POSITIVE,
+    "trials": _POSITIVE, "reps": (1, True, "odd and positive"), "mc": _POSITIVE,
+    "count": _NONNEGATIVE, "bits": _NONNEGATIVE, "subset_size": _NONNEGATIVE,
+}
 
 
 def _format_value(value: Any) -> str:
@@ -80,8 +93,9 @@ def run_separation_sweep(
     if not ns or any(v < 1 for v in ns) or list(ns) != sorted(set(ns)):
         grid = ",".join(map(str, ns))
         raise ValueError(f"--ns must be a strictly increasing list of positive n, got {grid!r}")
-    _check_reps(reps)
-    _check_positive("--trials", trials)
+    quantum._check_odd(reps)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     # the grid is increasing, so its first point bounds the subset for every
     # point and its last point bounds n
     _check_subset_size(subset_size, ns[0])
@@ -114,20 +128,8 @@ def run_separation_sweep(
     return rows
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError(f"--reps must be odd and positive, got {reps}")
-
-
-def _check_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{flag} must be positive, got {value}")
-
-
 def _check_subset_size(subset_size: int, n: int) -> None:
-    if subset_size < 0:
-        raise ValueError(f"--subset-size must be nonnegative, got {subset_size}")
-    if subset_size > 2 * n:
+    if not 0 <= subset_size <= 2 * n:
         raise ValueError(f"--subset-size {subset_size} out of range 0..{2 * n}")
 
 
@@ -149,9 +151,6 @@ def _stage_seed(seed: int, stage: int) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _check_positive("--n", args.n)
-    if args.count < 0:
-        raise ValueError(f"--count must be nonnegative, got {args.count}")
     rows = []
     for i in range(args.count):
         inst = sample_T(args.n, substream(args.seed, i))
@@ -164,9 +163,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantum_run(args: argparse.Namespace) -> int:
-    _check_positive("--n", args.n)
-    _check_positive("--trials", args.trials)
-    _check_reps(args.reps)
     rows = []
     for t in range(args.trials):
         rng = substream(args.seed, t)
@@ -191,8 +187,6 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_classical_run(args: argparse.Namespace) -> int:
-    _check_positive("--n", args.n)
-    _check_positive("--trials", args.trials)
     _check_subset_size(args.subset_size, args.n)
     _check_subset_n("--n", args.n)
     est = classical.run_subset_trials(args.n, args.subset_size, args.trials, args.seed)
@@ -211,9 +205,6 @@ def _cmd_classical_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bruteforce(args: argparse.Namespace) -> int:
-    _check_positive("--n", args.n)
-    if args.bits < 0:
-        raise ValueError(f"--bits must be nonnegative, got {args.bits}")
     report = classical.bruteforce_optimal(args.n, args.bits)
     emit([report.to_json_dict()], [], "json", args.out)
     return EXIT_OK
@@ -225,15 +216,12 @@ def _cmd_fourier_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
-    _check_positive("--n", args.n)
     if args.k % 2:
         raise ValueError(f"--k must be even, got {args.k}")
     if not 2 <= args.k <= 2 * args.n:
         raise ValueError(f"--k must be in 2..{2 * args.n}, got {args.k}")
-    if args.mc is not None:
-        _check_positive("--mc", args.mc)
-        if args.seed is None:
-            raise ValueError("--mc requires --seed")
+    if args.mc is not None and args.seed is None:
+        raise ValueError("--mc requires --seed")
     exact = combinatorics.gamma_exact(args.n, args.k)
     try:
         exact_fraction = f"{exact.numerator}/{exact.denominator}"
@@ -376,11 +364,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        # every subcommand but bruteforce has --seed; substream refuses
-        # negative seeds too, but only once a run reaches its first draw
-        seed = getattr(args, "seed", None)
-        if seed is not None and seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {seed}")
+        for dest, (least, odd, rule) in _FLAG_RULES.items():
+            value = getattr(args, dest, None)
+            if value is not None and (value < least or odd and value % 2 == 0):
+                raise ValueError(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -388,6 +375,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

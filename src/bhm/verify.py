@@ -429,9 +429,9 @@ def _check_fourier_sizes(m: int, cases: int) -> None:
     if m > fourier.DEFAULT_MAX_DIM:
         raise BudgetExceeded(f"Fourier suite at m={m} exceeds cap {fourier.DEFAULT_MAX_DIM}")
     if m < 1:
-        raise ValueError(f"--m must be positive, got {m}")
+        raise ValueError(f"m must be positive, got {m}")
     if cases < 1:
-        raise ValueError(f"--cases must be positive, got {cases}")
+        raise ValueError(f"cases must be positive, got {cases}")
 
 
 def run_fourier_suite(m: int, cases: int, seed: int) -> list[CheckResult]:
@@ -451,7 +451,7 @@ def run_all(seed: int, m: int, cases: int, trials: int) -> list[CheckResult]:
     """Every module's property suite at configurable sizes."""
     _check_fourier_sizes(m, cases)
     if trials < 1:
-        raise ValueError(f"--trials must be positive, got {trials}")
+        raise ValueError(f"trials must be positive, got {trials}")
     results = [check_core_identities(seed)]
     results.extend(run_fourier_suite(m, cases, seed))
     results.extend(

@@ -454,6 +454,37 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
              "--seed", "1"],
             "--n 2000000000 is too large for the subset protocol: n must be below 1000000000",
         ),
+        (
+            ["quantum-run", "--n", "4", "--trials", "2", "--reps", "0", "--seed", "1"],
+            "--reps must be odd and positive, got 0",
+        ),
+        (
+            ["sweep", "--ns", "4", "--trials", "10", "--reps", "-1", "--subset-size", "2",
+             "--seed", "1"],
+            "--reps must be odd and positive, got -1",
+        ),
+        (
+            ["gamma", "--n", "3", "--k", "2", "--mc", "10", "--seed", "-1"],
+            "--seed must be nonnegative, got -1",
+        ),
+        (
+            ["verify-all", "--m", "4", "--cases", "1", "--trials", "10", "--seed", "-1"],
+            "--seed must be nonnegative, got -1",
+        ),
+        (
+            ["fourier-verify", "--m", "4", "--cases", "-1", "--seed", "1"],
+            "--cases must be positive, got -1",
+        ),
+        # a flag's range is refused before the command's own rules: --k here
+        (
+            ["gamma", "--n", "3", "--k", "3", "--mc", "0", "--seed", "1"],
+            "--mc must be positive, got 0",
+        ),
+        # ... and the decreasing grid here
+        (
+            ["sweep", "--ns", "8,4", "--trials", "0", "--subset-size", "2", "--seed", "1"],
+            "--trials must be positive, got 0",
+        ),
     ],
 )
 def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, message):
@@ -467,6 +498,50 @@ def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, m
     assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert f"error: {message}\n" == capsys.readouterr().err
     assert not out.exists()
+
+
+#: integer flags whose range needs another flag, so their command checks them
+CHECKED_IN_COMMAND = {"k"}
+
+
+def test_every_integer_flag_has_a_range_rule():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    dests = set()
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            dests.add(action.dest)
+            if action.type is int and action.dest not in CHECKED_IN_COMMAND:
+                assert action.dest in cli._FLAG_RULES, f"{name} --{action.dest}"
+    assert set(cli._FLAG_RULES) <= dests
+    assert CHECKED_IN_COMMAND <= dests
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify.run_all(1, m=4, cases=1, trials=0), "trials must be positive, got 0"),
+        (lambda: verify.run_fourier_suite(0, 1, 1), "m must be positive, got 0"),
+        (lambda: cli.run_separation_sweep([4], 2, 1, 10, 1),
+         "repetitions must be odd and positive, got 2"),
+        (lambda: cli.run_separation_sweep([4], 1, 1, 0, 1), "trials must be positive, got 0"),
+    ],
+)
+def test_library_guards_name_their_own_arguments(call, message):
+    # main refuses these flags first, so only a direct call reaches the guards
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_gen", crash)
+    assert run_cli(["gen", "--n", "4", "--count", "1", "--seed", "1"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "boom" in err
 
 
 def test_classical_run_rejects_negative_subset_size(tmp_path, capsys):
