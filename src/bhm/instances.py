@@ -83,20 +83,36 @@ class BhmInstance:
 # randomness layout
 
 
-def _uniform_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Canonical 0-based (n, 2) pair array of a uniform perfect matching.
-
-    One ``permutation(2n)`` call read as n rows, put in canonical order by
-    ``core._canonical_pairs``, the helper the ``PerfectMatching``
-    constructor calls too.
-    """
-    return _canonical_pairs(rng.permutation(2 * n).reshape(n, 2))
-
-
 def _biased_bits(b: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent bits, each equal to b with probability 3/4."""
     flips = rng.random(n) >= float(NOISE_BIAS)
     return (flips ^ bool(b)).view(np.uint8)
+
+
+def _raw_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform perfect matching as one ``permutation(2n)`` read as n rows.
+
+    0-based and not yet in canonical order; ``core._canonical_pairs`` puts
+    the rows in order, on its own or inside the ``PerfectMatching``
+    constructor.
+    """
+    return rng.permutation(2 * n).reshape(n, 2)
+
+
+def _mixture_draws(
+    n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The four draws of one mixture sample, in stream order: (x, raw, b, noise).
+
+    x is 2n uniform bits, raw the rows of :func:`_raw_pairs`, b the fair
+    source bit and noise the n bits that make w from the edge parities.
+    The one home of that order: :func:`_sample_t_arrays` and
+    ``verify.check_promise_rates`` build on it.
+    """
+    x = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
+    raw = _raw_pairs(n, rng)
+    b = int(rng.integers(0, 2))
+    return x, raw, b, _biased_bits(b, n, rng)
 
 
 def _sample_t_arrays(
@@ -104,15 +120,13 @@ def _sample_t_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """One draw from the generating mixture as raw arrays (x, pairs, w, b, noise).
 
-    w is the edge parities xor noise, so noise is the draw's disagreement
-    bits: edge parities xor w.
+    pairs are the matching's canonical 0-based rows.  w is the edge
+    parities xor noise, so noise is the draw's disagreement bits: edge
+    parities xor w.
     """
-    x = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
-    pairs = _uniform_pairs(n, rng)
-    b = int(rng.integers(0, 2))
-    noise = _biased_bits(b, n, rng)
-    parities = x[pairs[:, 0]] ^ x[pairs[:, 1]]
-    w = parities ^ noise
+    x, raw, b, noise = _mixture_draws(n, rng)
+    pairs = _canonical_pairs(raw)
+    w = x[pairs[:, 0]] ^ x[pairs[:, 1]] ^ noise
     return x, pairs, w, b, noise
 
 
@@ -198,7 +212,7 @@ def sample_matching(n: int, rng: np.random.Generator) -> PerfectMatching:
     """Uniform perfect matching on {1..2n}."""
     if n < 1:
         raise ValueError("n must be positive")
-    return PerfectMatching(_uniform_pairs(n, rng) + 1)
+    return PerfectMatching(_raw_pairs(n, rng) + 1)
 
 
 def density_mu(b: int, y: BitString) -> Fraction:

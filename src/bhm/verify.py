@@ -359,9 +359,10 @@ def check_density_normalization() -> CheckResult:
 def check_promise_rates(seed: int, trials: int) -> CheckResult:
     """Empirical outside-rate against the exact binomial tail at n = 50, 100; decreasing in n.
 
-    Each trial makes the draws of :func:`instances.sample_T` on the array
-    kernel and tests the count of its disagreement bits against the
-    promise, building no objects.
+    Each trial makes the draws of :func:`instances.sample_T` with
+    :func:`instances._mixture_draws` and tests the count of its noise, the
+    draw's disagreement bits, against the promise, building neither the
+    matching nor w.
     """
     worst_z = 0.0
     rates = []
@@ -369,8 +370,8 @@ def check_promise_rates(seed: int, trials: int) -> CheckResult:
         exact = float(instances.promise_outside_probability(n))
         outside = 0
         for t in range(trials):
-            *_, disagree = instances._sample_t_arrays(n, substream(seed, 12, i, t))
-            d = int(np.count_nonzero(disagree))
+            *_, noise = instances._mixture_draws(n, substream(seed, 12, i, t))
+            d = int(np.count_nonzero(noise))
             outside += not instances._in_promise(n, d)
         rate = outside / trials
         rates.append(rate)

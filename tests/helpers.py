@@ -16,6 +16,7 @@ import numpy as np
 from bhm.classical import _known_edge_count, _known_edge_law
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import BitString, PerfectMatching
+from bhm.fourier import CubeFunction
 from bhm.instances import BhmInstance, _sample_promise_arrays, sample_T
 from bhm.quantum import majority_success
 from bhm.seeding import substream
@@ -50,8 +51,8 @@ def sorted_pairs_oracle(pairs) -> np.ndarray:
     Sorts each row, orders the rows by an argsort of the first column and
     requires the whole array, sorted, to be 1..2n.  Raises the
     ``ValueError`` messages of ``PerfectMatching``, which must equal it
-    array for array and message for message; ``_uniform_pairs`` must equal
-    it on ``permutation(2n)`` read as n rows, plus one.
+    array for array and message for message; ``sample_matching`` must
+    equal it on ``permutation(2n)`` read as n rows, plus one.
     """
     pairs = np.asarray(pairs)
     if pairs.ndim != 2 or pairs.shape[0] == 0 or pairs.shape[1] != 2:
@@ -74,6 +75,16 @@ def naive_walsh_coefficients(values: np.ndarray) -> np.ndarray:
         signs = 1.0 - 2.0 * (np.bitwise_count(ys & np.uint64(s)).astype(np.int64) & 1)
         out[s] = signs @ values
     return out / size
+
+
+def convolve_rowwise_oracle(f: CubeFunction, g: CubeFunction) -> np.ndarray:
+    """XOR convolution one row at a time: row w is f at ``ys ^ w`` dotted with g."""
+    size = 1 << f.m
+    ys = np.arange(size)
+    out = np.empty(size)
+    for w in range(size):
+        out[w] = f.values[ys ^ w] @ g.values
+    return out
 
 
 def stride_fwht(values: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ import pytest
 
 from bhm.core import BitString, PerfectMatching, apply_matching
 from bhm.errors import BudgetExceeded, DimensionMismatch
-from bhm import fourier
+from bhm import fourier, verify
 from bhm.fourier import (
+    CONVOLVE_MAX_DIM,
     DEFAULT_MAX_DIM,
     CubeFunction,
     FourierSpectrum,
@@ -26,7 +27,7 @@ from bhm.fourier import (
 from bhm.instances import NOISE_BIAS, density_mu, sample_matching
 from bhm.seeding import substream
 
-from helpers import naive_walsh_coefficients, stride_fwht
+from helpers import convolve_rowwise_oracle, naive_walsh_coefficients, stride_fwht
 
 
 def random_table(m, rng):
@@ -167,6 +168,15 @@ def test_convolution_direct_equals_spectral(m):
     lhs = transform(direct).coefficients
     rhs = (1 << m) * transform(f).coefficients * transform(g).coefficients
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 5, 6, 7, 10, CONVOLVE_MAX_DIM])
+def test_convolve_is_byte_equal_to_the_rowwise_oracle(m):
+    # 2^m is a whole number of 64-row blocks for m >= 6, so m < 6 is the one
+    # sub-block case; m = 6 is exactly one block, m = 12 the cap
+    for case in range(2):
+        f, g = verify._random_pair(m, 5, case)
+        assert convolve(f, g).values.tobytes() == convolve_rowwise_oracle(f, g).tobytes()
 
 
 def test_convolution_wrong_scale_is_detected():

@@ -19,7 +19,6 @@ from bhm.instances import (
     _sample_promise_arrays,
     _sample_source_and_count,
     _sample_t_arrays,
-    _uniform_pairs,
     density_mu,
     pinned_instance,
     promise_outside_probability,
@@ -75,7 +74,7 @@ def test_sample_biased_statistics():
 def test_uniform_pairs_equal_the_three_sort_oracle_draw_for_draw(n):
     fast, oracle = substream(309, n), substream(309, n)
     for _ in range(20):
-        pairs = _uniform_pairs(n, fast)
+        pairs = sample_matching(n, fast).pairs_array()
         want = sorted_pairs_oracle(oracle.permutation(2 * n).reshape(n, 2) + 1)
         assert pairs.dtype == want.dtype and pairs.tobytes() == want.tobytes()
     assert fast.integers(0, 2**63) == oracle.integers(0, 2**63)
@@ -185,7 +184,7 @@ def test_sample_T_outside_rate_matches_exact_tail():
 
 @pytest.mark.parametrize("seed", [1, 3, 7])
 def test_promise_rate_check_reports_what_whole_instances_give(seed):
-    # the check draws on the array kernel; the oracle builds every instance
+    # the check counts the noise of _mixture_draws; the oracle builds every instance
     got = check_promise_rates(seed, trials=2000).to_json_dict()
     assert got == promise_rates_oracle(seed, trials=2000).to_json_dict()
 
