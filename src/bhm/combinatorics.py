@@ -19,14 +19,29 @@ import numpy as np
 from .core import BitString
 
 
+#: Ranges of at most this many factors are one ``math.prod`` in :func:`_product`.
+_PRODUCT_LEAF = 16
+
+
+def _product(factors: range) -> int:
+    """Product of a range of factors, split in halves down to short runs.
+
+    Each big multiplication then has two operands of about the same size,
+    which CPython multiplies by Karatsuba, instead of one huge running
+    product times one small factor.  Short ranges, such as every gamma
+    of at most 32 points, are one ``math.prod``.
+    """
+    if len(factors) <= _PRODUCT_LEAF:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
+
+
 def count_matchings(t: int) -> int:
     """Number of perfect matchings on t points: the double factorial (t-1)!!."""
     if t < 0 or t % 2 != 0:
         raise ValueError(f"perfect matchings need an even number of points, got {t}")
-    result = 1
-    for odd in range(1, t, 2):
-        result *= odd
-    return result
+    return _product(range(1, t, 2))
 
 
 def enumerate_matchings(t: int) -> list[tuple[tuple[int, int], ...]]:
@@ -66,7 +81,7 @@ def gamma_exact(n: int, k: int) -> Fraction:
     """
     _validate_weight(n, k)
     k = min(k, 2 * n - k)
-    return Fraction(count_matchings(k), math.prod(range(2 * n - 1, 2 * n - k, -2)))
+    return Fraction(count_matchings(k), _product(range(2 * n - 1, 2 * n - k, -2)))
 
 
 def gamma_bound(n: int, k: int) -> float:

@@ -40,6 +40,19 @@ class BitString:
         object.__setattr__(self, "bits", bits)
 
     @classmethod
+    def _adopt(cls, bits: np.ndarray) -> BitString:
+        """Store a package-built array as it is, with no copy and no check.
+
+        ``bits`` must already be a nonempty 1-D uint8 array of 0s and 1s
+        that no caller still holds; it is made read-only.  Input from
+        outside the package goes through the constructor.
+        """
+        bits.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "bits", bits)
+        return self
+
+    @classmethod
     def zeros(cls, length: int) -> BitString:
         return cls(np.zeros(length, dtype=np.uint8))
 
@@ -98,8 +111,9 @@ class BitString:
 def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     """New (n, 2) array of the rows (min, max) of ``pairs``, ordered by the min column.
 
-    The canonical order of a matching, fixed by one argsort; the sampler
-    and the :class:`PerfectMatching` constructor both call it.
+    The canonical order of a matching, fixed by one argsort; the samplers
+    and the :class:`PerfectMatching` constructor call it, and the
+    samplers hand their rows to :meth:`PerfectMatching._adopt` as they are.
     """
     first, second = pairs[:, 0], pairs[:, 1]
     low = np.minimum(first, second)
@@ -148,6 +162,20 @@ class PerfectMatching:
             raise ValueError(_NOT_A_COVER)
         pairs.setflags(write=False)
         object.__setattr__(self, "_pairs", pairs)
+
+    @classmethod
+    def _adopt(cls, pairs: np.ndarray) -> PerfectMatching:
+        """Store a package-built array as it is, with no copy and no check.
+
+        ``pairs`` must already be the canonical 0-based int64 (n, 2) rows
+        of :func:`_canonical_pairs` covering 0..2n-1, held by no caller;
+        it is made read-only.  Input from outside the package goes
+        through the constructor.
+        """
+        pairs.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "_pairs", pairs)
+        return self
 
     @classmethod
     def from_text(cls, text: str) -> PerfectMatching:
@@ -208,7 +236,7 @@ def apply_matching(matching: PerfectMatching, x: BitString) -> BitString:
             f"matching on {matching.size} points applied to length {x.length}"
         )
     pairs = matching.pairs_array()
-    return BitString(x.bits[pairs[:, 0]] ^ x.bits[pairs[:, 1]])
+    return BitString._adopt(x.bits[pairs[:, 0]] ^ x.bits[pairs[:, 1]])
 
 
 def lift_character(matching: PerfectMatching, s: BitString) -> BitString:
@@ -222,5 +250,5 @@ def lift_character(matching: PerfectMatching, s: BitString) -> BitString:
             f"matching with {matching.n} edges lifted with length {s.length}"
         )
     out = np.empty(matching.size, dtype=np.uint8)
-    out[matching.pairs_array()] = s.bits[:, None]
-    return BitString(out)
+    out[matching.pairs_array()] = s.bits[:, None]  # the matching covers every slot
+    return BitString._adopt(out)

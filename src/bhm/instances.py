@@ -93,8 +93,8 @@ def _raw_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
     """A uniform perfect matching as one ``permutation(2n)`` read as n rows.
 
     0-based and not yet in canonical order; ``core._canonical_pairs`` puts
-    the rows in order, on its own or inside the ``PerfectMatching``
-    constructor.
+    the rows in order once, and :func:`sample_matching` and
+    :func:`sample_T` hand its result to ``PerfectMatching._adopt``.
     """
     return rng.permutation(2 * n).reshape(n, 2)
 
@@ -212,7 +212,7 @@ def sample_matching(n: int, rng: np.random.Generator) -> PerfectMatching:
     """Uniform perfect matching on {1..2n}."""
     if n < 1:
         raise ValueError("n must be positive")
-    return PerfectMatching(_raw_pairs(n, rng) + 1)
+    return PerfectMatching._adopt(_canonical_pairs(_raw_pairs(n, rng)))
 
 
 def density_mu(b: int, y: BitString) -> Fraction:
@@ -228,8 +228,12 @@ def sample_T(n: int, rng: np.random.Generator) -> BhmInstance:
     if n < 1:
         raise ValueError("n must be positive")
     x, pairs, w, b, _ = _sample_t_arrays(n, rng)
+    # fresh arrays that are valid by construction, so they are stored as they are
     return BhmInstance(
-        x=BitString(x), matching=PerfectMatching(pairs + 1), w=BitString(w), source=b
+        x=BitString._adopt(x),
+        matching=PerfectMatching._adopt(pairs),
+        w=BitString._adopt(w),
+        source=b,
     )
 
 

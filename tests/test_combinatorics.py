@@ -33,6 +33,15 @@ def test_count_matchings_equals_enumeration():
         assert len({PerfectMatching(pairs) for pairs in listing}) == count_matchings(t)
 
 
+def test_balanced_product_equals_math_prod():
+    # empty, leaf-sized and split ranges, rising and falling, odd and mixed steps
+    for start in (1, 3, 199, 2 * 10**5 - 1):
+        for count in (0, 1, 2, 15, 16, 17, 33, 100, 1001):
+            for step in (2, -2, 1):
+                factors = range(start, start + step * count, step)
+                assert combinatorics._product(factors) == math.prod(factors), (start, count, step)
+
+
 def test_count_matchings_rejects_odd():
     with pytest.raises(ValueError):
         count_matchings(5)

@@ -270,9 +270,10 @@ def test_apply_matching_matches_gf2_matrix_randomized():
         n = int(rng.integers(5, 30))
         matching = sample_matching(n, rng)
         x = BitString(rng.integers(0, 2, size=2 * n))
-        assert np.array_equal(
-            apply_matching(matching, x).bits, gf2_matrix_product(matching, x)
-        )
+        image = apply_matching(matching, x)
+        assert np.array_equal(image.bits, gf2_matrix_product(matching, x))
+        assert image == BitString(gf2_matrix_product(matching, x))
+        assert image.bits.dtype == np.uint8 and not image.bits.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -311,7 +312,10 @@ def test_lift_weight_randomized():
         n = int(rng.integers(1, 40))
         matching = sample_matching(n, rng)
         s = BitString(rng.integers(0, 2, size=n))
-        assert lift_character(matching, s).hamming_weight() == 2 * s.hamming_weight()
+        lifted = lift_character(matching, s)
+        assert lifted.hamming_weight() == 2 * s.hamming_weight()
+        assert lifted == BitString(matching.matrix().T @ s.bits)
+        assert lifted.bits.dtype == np.uint8 and not lifted.bits.flags.writeable
 
 
 def test_dimension_errors():

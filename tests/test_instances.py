@@ -80,6 +80,27 @@ def test_uniform_pairs_equal_the_three_sort_oracle_draw_for_draw(n):
     assert fast.integers(0, 2**63) == oracle.integers(0, 2**63)
 
 
+def _stored(value):
+    return value.bits if isinstance(value, BitString) else value.pairs_array()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 512])
+def test_sample_T_stores_what_the_validating_constructors_build(n):
+    # sample_T adopts its arrays unchecked; the constructors rebuild them from a twin stream
+    fast, twin = substream(313, n), substream(313, n)
+    for _ in range(10):
+        inst = sample_T(n, fast)
+        x, pairs, w, b, _ = _sample_t_arrays(n, twin)
+        built = (BitString(x), PerfectMatching(pairs + 1), BitString(w))
+        for got, want in zip((inst.x, inst.matching, inst.w), built):
+            assert got == want and hash(got) == hash(want)
+            stored, rebuilt = _stored(got), _stored(want)
+            assert stored.dtype == rebuilt.dtype and stored.tobytes() == rebuilt.tobytes()
+            assert not stored.flags.writeable
+        assert inst.source == b
+    assert fast.integers(0, 2**63) == twin.integers(0, 2**63)
+
+
 @pytest.mark.parametrize("b", [0, 1])
 @pytest.mark.parametrize("n", [1, 7, 64, 1000])
 def test_biased_bits_equal_the_where_form(b, n):
