@@ -23,7 +23,7 @@ import numpy as np
 from .combinatorics import MonteCarloEstimate, count_matchings, enumerate_matchings
 from .core import BitString, PerfectMatching
 from .errors import BudgetExceeded
-from .fourier import _index_bits, _popcounts, matching_image_table
+from .fourier import _popcounts, matching_image_table
 # _sample_t_arrays is not called here; the binding stays because
 # perfbench's tracer self-test checks that it wraps this module's name
 from .instances import (  # noqa: F401
@@ -357,13 +357,35 @@ def _x_text(index: int, n: int) -> str:
 
 
 def _bruteforce_one_bit(n: int) -> tuple[Fraction, int]:
-    """Exhaustive scan of one-bit Alice maps; returns (value, best map bits)."""
+    """Exhaustive scan of one-bit Alice maps; returns (value, best map bits).
+
+    alice(x index 0) is fixed to 0, since complementing a map relabels
+    its messages only; map j sends x index i >= 1 to bit i - 1 of j, so
+    its bits are 2j.
+    """
     mass, denom = _joint_mass(n)
-    num_x = mass.shape[0]
-    # fix alice(x index 0) = 0: complementing the map relabels messages only
-    maps = np.arange(0, 1 << num_x, 2, dtype=np.int64)
-    mass1 = np.tensordot(_index_bits(maps, num_x), mass, axes=1)  # joint mass of message class 1
-    mass0 = mass.sum(axis=0) - mass1
-    score = _winning_mass(mass0) + _winning_mass(mass1)
-    best = int(np.argmax(score))
-    return Fraction(int(score[best]), denom), int(maps[best])
+    twice = _one_bit_twice_winning_mass(mass)
+    best = int(np.argmax(twice))
+    return Fraction(int(twice[best]), 2 * denom), 2 * best
+
+
+def _one_bit_twice_winning_mass(mass: np.ndarray) -> np.ndarray:
+    """Twice the best Bob's winning mass of every one-bit map j, as int64.
+
+    On each observation (matching, w), max(m0, m1) = (m0 + m1 + |m0 - m1|) / 2,
+    so twice a map's winning mass is the total mass plus the absolute
+    source gaps of both message classes.  The class-1 gaps of all maps
+    are the subset sums of the per-x gaps, one doubling per x.
+    """
+    # gap[cell, x]: source-0 minus source-1 mass of x on cell (matching, w)
+    gap = (mass[:, :, 0, :] - mass[:, :, 1, :]).reshape(mass.shape[0], -1).T
+    num_x = gap.shape[1]
+    gap1 = np.zeros((gap.shape[0], 1 << (num_x - 1)), dtype=np.int64)
+    for i in range(1, num_x):
+        width = 1 << (i - 1)
+        np.add(gap1[:, :width], gap[:, i, None], out=gap1[:, width : 2 * width])
+    twice = np.full(gap1.shape[1], mass.sum())
+    for row, total in zip(gap1, gap.sum(axis=1)):  # one cell at a time stays in cache
+        twice += np.abs(row)
+        twice += np.abs(total - row)
+    return twice

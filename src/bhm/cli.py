@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from typing import Any, Sequence
@@ -215,6 +216,28 @@ def _cmd_fourier_verify(args: argparse.Namespace) -> int:
     return _emit_check_results(results, args.out)
 
 
+def _gamma_digits_exceed(n: int, k: int, digits: int) -> bool:
+    """Whether gamma_exact(n, k)'s reduced denominator surely has more than ``digits`` digits.
+
+    gamma = C(n, k'/2) / C(2n, k'), k' = min(k, 2n - k), is the product of
+    (2j - 1) / (2n - 2j + 1) over j = 1..k'/2.  Its numerator is at least
+    1, so its denominator has more digits than the sum of the positive
+    terms log10((2n - 2j + 1) / (2j - 1)).  The sum stops once it passes
+    ``digits``, after at most about 4.2 ``digits`` terms, since each term
+    of the first half is at least log10(3).  The terms are rounded floats,
+    so a caller leaves a margin of one digit; a difference of
+    ``math.lgamma`` values would lose whole digits to cancellation at
+    large n.
+    """
+    k = min(k, 2 * n - k)
+    total = 0.0
+    for j in range(1, k // 2 + 1):
+        total += math.log10(2 * n - 2 * j + 1) - math.log10(2 * j - 1)
+        if total > digits:
+            return True
+    return False
+
+
 def _cmd_gamma(args: argparse.Namespace) -> int:
     if args.k % 2:
         raise ValueError(f"--k must be even, got {args.k}")
@@ -222,16 +245,19 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be in 2..{2 * args.n}, got {args.k}")
     if args.mc is not None and args.seed is None:
         raise ValueError("--mc requires --seed")
+    # Python refuses int-to-str past sys.get_int_max_str_digits() (0: no limit)
+    limit = sys.get_int_max_str_digits()
+    too_long = ValueError(
+        f"--n {args.n} and --k {args.k} give an exact fraction of more than {limit} "
+        "digits, the interpreter's limit for integer string conversion"
+    )
+    if limit and _gamma_digits_exceed(args.n, args.k, limit + 1):
+        raise too_long
     exact = combinatorics.gamma_exact(args.n, args.k)
     try:
         exact_fraction = f"{exact.numerator}/{exact.denominator}"
     except ValueError:
-        # Python refuses int-to-str past sys.get_int_max_str_digits()
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"--n {args.n} and --k {args.k} give an exact fraction of more than {limit} "
-            "digits, the interpreter's limit for integer string conversion"
-        ) from None
+        raise too_long from None
     record: dict[str, Any] = {
         "n": args.n,
         "k": args.k,

@@ -17,7 +17,7 @@ why the checks in this module verify the factors explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -35,8 +35,17 @@ CONVOLVE_MAX_DIM = 12
 #: indices and values take 2 MB each.
 _CONVOLVE_BLOCK = 64
 
+#: Low index bits :func:`_fwht` transforms one block at a time: a block of
+#: 2^15 float64 entries is 256 KB, so it and its scratch buffer stay in L2.
+_FWHT_BLOCK_BITS = 15
+
 #: Largest 2n for which :func:`_lift_identity_gap` builds its 2^2n table.
 _LIFT_MAX_DIM = 12
+
+
+def _check_finite(table: np.ndarray) -> None:
+    if not np.all(np.isfinite(table)):
+        raise ValueError("table values must be finite")
 
 
 def _as_table(values: np.ndarray | Iterable[float], m: int, noun: str) -> np.ndarray:
@@ -44,12 +53,27 @@ def _as_table(values: np.ndarray | Iterable[float], m: int, noun: str) -> np.nda
     table = np.asarray(values, dtype=np.float64).copy()
     if table.ndim != 1 or table.size == 0 or table.size & (table.size - 1):
         raise ValueError("table length must be a power of two")
-    if not np.all(np.isfinite(table)):
-        raise ValueError("table values must be finite")
+    _check_finite(table)
     if table.size != 1 << m:
         raise DimensionMismatch(f"dimension {m} needs {1 << m} {noun}, got {table.size}")
     table.setflags(write=False)
     return table
+
+
+def _adopt_table(cls: type, m: int, noun: str, table: np.ndarray) -> Any:
+    """A ``cls`` holding a table the package has just built, with no copy.
+
+    ``table`` must already be a 1-D float64 array of 2^m entries that no
+    caller still holds.  Only its finiteness is checked, so an overflowing
+    transform is still refused; it is made read-only.  Input from outside
+    the package goes through the constructor.
+    """
+    _check_finite(table)
+    table.setflags(write=False)
+    self = object.__new__(cls)
+    object.__setattr__(self, "m", m)
+    object.__setattr__(self, noun, table)
+    return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +85,10 @@ class CubeFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_table(self.values, self.m, "values"))
+
+    @classmethod
+    def _adopt(cls, m: int, values: np.ndarray) -> CubeFunction:
+        return _adopt_table(cls, m, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,30 +102,62 @@ class FourierSpectrum:
         table = _as_table(self.coefficients, self.m, "coefficients")
         object.__setattr__(self, "coefficients", table)
 
+    @classmethod
+    def _adopt(cls, m: int, coefficients: np.ndarray) -> FourierSpectrum:
+        return _adopt_table(cls, m, "coefficients", coefficients)
+
+
+def _butterflies(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Constant-geometry stages over every index bit of ``src``, ending in ``out``.
+
+    Every stage adds and subtracts the adjacent pairs (2j, 2j+1) into the
+    two halves of the other buffer.  That rotates the index right by one
+    bit, so stage b pairs the entries that differ in bit b, and after all
+    stages the order is natural again.  ``out`` and ``scratch`` alternate
+    so that the last stage writes ``out``; ``src`` is only read.
+    """
+    half = src.size >> 1
+    stages = src.size.bit_length() - 1
+    for stage in range(stages):
+        dst = out if (stages - stage) % 2 else scratch
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src = dst
+
 
 def _fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, O(m 2^m), into a fresh float64 array.
 
-    Constant-geometry butterfly: every stage adds and subtracts the
-    adjacent pairs (2j, 2j+1) into the two halves of the other buffer.
-    That rotates the index right by one bit, so stage b pairs the entries
-    that differ in bit b, and after m stages the order is natural again.
-    Each coefficient comes from the same operands, in the same order, as
-    in the in-place stride butterfly, so the result is bit for bit the
-    same.  ``values`` is only read.
+    A table of at most one block, 2^:data:`_FWHT_BLOCK_BITS` entries, runs
+    :func:`_butterflies` in the output and one scratch buffer of its size.
+    A larger table goes block by block: the stages over the low
+    :data:`_FWHT_BLOCK_BITS` index bits pair entries inside one aligned
+    block only, so each block runs them in its slice of the output and a
+    block-sized scratch buffer, both in cache.  Each stage b over the high
+    bits then replaces the pair (i, i + 2^b) by its sum and difference in
+    place, one block-wide chunk at a time.  Every coefficient comes from
+    the same operands, in the same order, as in the in-place stride
+    butterfly, so the result is bit for bit the same.  ``values`` is only
+    read.
     """
     src = np.asarray(values, dtype=np.float64)
     size = src.size
     if size == 1:
         return src.copy()
-    half = size >> 1
-    buffers = (np.empty(size), np.empty(size))
-    for stage in range(size.bit_length() - 1):
-        dst = buffers[stage & 1]
-        np.add(src[0::2], src[1::2], out=dst[:half])
-        np.subtract(src[0::2], src[1::2], out=dst[half:])
-        src = dst
-    return src
+    block = min(size, 1 << _FWHT_BLOCK_BITS)
+    out = np.empty(size)
+    scratch = np.empty(block)
+    for start in range(0, size, block):
+        _butterflies(src[start : start + block], out[start : start + block], scratch)
+    stride = block
+    while stride < size:
+        for row in out.reshape(-1, 2, stride // block, block):
+            for top, bottom in zip(row[0], row[1]):
+                np.subtract(top, bottom, out=scratch)
+                np.add(top, bottom, out=top)
+                bottom[...] = scratch
+        stride <<= 1
+    return out
 
 
 def _popcounts(size: int) -> np.ndarray:
@@ -115,12 +175,12 @@ def transform(f: CubeFunction) -> FourierSpectrum:
         raise BudgetExceeded(f"transform at m={f.m} exceeds cap {DEFAULT_MAX_DIM}")
     coefficients = _fwht(f.values)
     coefficients /= 1 << f.m  # a power of two: the same bits as a fresh quotient
-    return FourierSpectrum(m=f.m, coefficients=coefficients)
+    return FourierSpectrum._adopt(f.m, coefficients)
 
 
 def inverse_transform(spectrum: FourierSpectrum) -> CubeFunction:
     """Rebuild the table: f(y) = sum_s fhat(s) chi_s(y)."""
-    return CubeFunction(m=spectrum.m, values=_fwht(spectrum.coefficients))
+    return CubeFunction._adopt(spectrum.m, _fwht(spectrum.coefficients))
 
 
 def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
@@ -206,7 +266,7 @@ def mu_difference(n: int) -> CubeFunction:
     # and the scale 4^n is a power of two
     mu0 = np.array(weights, dtype=np.float64) / scale
     by_weight = mu0 - mu0[::-1]  # mu_1 is mu_0 of the complement, of weight n - k
-    return CubeFunction(m=n, values=by_weight[_popcounts(1 << n)])
+    return CubeFunction._adopt(n, by_weight[_popcounts(1 << n)])
 
 
 def closed_form_spectrum_table(n: int) -> np.ndarray:

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from bhm.classical import _known_edge_count, _known_edge_law
+from bhm.classical import _joint_mass, _known_edge_count, _known_edge_law, _winning_mass
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import BitString, PerfectMatching
-from bhm.fourier import CubeFunction
+from bhm.fourier import CubeFunction, _index_bits
 from bhm.instances import BhmInstance, _sample_promise_arrays, sample_T
 from bhm.quantum import majority_success
 from bhm.seeding import substream
@@ -218,6 +218,21 @@ def bayes_oracle(cells, alice) -> Fraction:
     for inst, prob, _ in cells:
         mass[alice(inst.x), inst.matching, inst.w][inst.source] += prob
     return sum(max(pair) for pair in mass.values())
+
+
+def bruteforce_one_bit_oracle(n: int) -> np.ndarray:
+    """Winning mass of every one-bit Alice map, by an integer tensordot per class.
+
+    Entry j is the map with bits 2j, as in ``classical._bruteforce_one_bit``:
+    the 0/1 row of each map picks the x of message class 1 out of the
+    joint mass, class 0 is the rest, and ``_winning_mass`` scores both.
+    """
+    mass, _ = _joint_mass(n)
+    num_x = mass.shape[0]
+    maps = np.arange(0, 1 << num_x, 2, dtype=np.int64)
+    mass1 = np.tensordot(_index_bits(maps, num_x), mass, axes=1)
+    mass0 = mass.sum(axis=0) - mass1
+    return _winning_mass(mass0) + _winning_mass(mass1)
 
 
 def _in_promise(n: int, d: int) -> bool:

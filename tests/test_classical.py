@@ -9,7 +9,10 @@ import pytest
 
 from bhm import classical
 from bhm.classical import (
+    _bruteforce_one_bit,
+    _joint_mass,
     _known_edge_law,
+    _one_bit_twice_winning_mass,
     alice_constant,
     alice_dictator,
     alice_identity,
@@ -28,6 +31,7 @@ from bhm.seeding import substream
 from helpers import (
     MC_Z_BOUND,
     bayes_oracle,
+    bruteforce_one_bit_oracle,
     expected_internal_edges,
     mixture_average,
     mixture_cells,
@@ -279,6 +283,35 @@ def test_bruteforce_is_the_best_one_bit_map_under_the_oracle():
     assert report.success_exact == max(values)
     witness = sum(1 << BitString.from_text(t).to_index() for t in report.witness["message_1"])
     assert values[witness] == max(values)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_bit_scores_equal_the_tensordot_oracle(n):
+    score = bruteforce_one_bit_oracle(n)
+    mass, denom = _joint_mass(n)
+    # twice each winning mass is the total mass plus both classes' absolute source gaps
+    twice = _one_bit_twice_winning_mass(mass)
+    assert twice.dtype == np.int64
+    assert np.array_equal(twice, 2 * score)
+    best = int(np.argmax(score))
+    assert _bruteforce_one_bit(n) == (Fraction(int(score[best]), denom), 2 * best)
+
+
+def test_one_bit_bruteforce_scans_once_and_never_calls_bayes(monkeypatch):
+    # the benchmark's classical.exact.cells gate counts one scan per one-bit report
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_bruteforce_one_bit", "bayes_success"):
+        monkeypatch.setattr(classical, name, counted(name, getattr(classical, name)))
+    assert bruteforce_optimal(2, 1).success_exact == FROZEN_OPTIMUM
+    assert calls == ["_bruteforce_one_bit"]
 
 
 def test_bayes_success_message_relabeling_invariance():

@@ -188,6 +188,33 @@ def test_gamma_refuses_exactly_where_python_does(tmp_path, capsys):
     assert len(str(over.denominator)) == 641
 
 
+def test_gamma_refuses_far_past_the_digit_limit_before_computing(monkeypatch, capsys):
+    def never(n, k):
+        raise AssertionError("gamma_exact ran although the digit bound already refuses")
+
+    monkeypatch.setattr(combinatorics, "gamma_exact", never)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # k and 2n - k give the same gamma, so both are refused at once
+        for k in (100000, 100002):
+            assert run_cli(["gamma", "--n", "100000", "--k", str(k)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"error: --n 100000 and --k {k} give an exact fraction of more than 4300 "
+                "digits, the interpreter's limit for integer string conversion\n"
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1, 2), (4, 2), (4, 6), (50, 20), (100, 100), (300, 598), (1000, 2), (1314, 1314)]
+)
+def test_gamma_digit_bound_never_exceeds_the_true_digit_count(n, k):
+    digits = len(str(combinatorics.gamma_exact(n, k).denominator))
+    assert not cli._gamma_digits_exceed(n, k, digits)
+
+
 def test_gamma_with_monte_carlo(tmp_path):
     out = tmp_path / "g.json"
     code = run_cli(

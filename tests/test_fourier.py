@@ -1,4 +1,5 @@
 from fractions import Fraction
+import inspect
 
 import numpy as np
 import pytest
@@ -107,7 +108,8 @@ def test_transform_cap():
         transform(f)
 
 
-@pytest.mark.parametrize("m", list(range(15)) + [20])
+# m = 15 is one whole block of _fwht, and 16 and 17 add one and two strided stages
+@pytest.mark.parametrize("m", list(range(18)) + [20])
 def test_fwht_is_byte_equal_to_the_stride_oracle(m):
     f = random_table(m, substream(415, m))
     expected = stride_fwht(f.values)
@@ -115,7 +117,7 @@ def test_fwht_is_byte_equal_to_the_stride_oracle(m):
     assert transform(f).coefficients.tobytes() == (expected / (1 << m)).tobytes()
 
 
-@pytest.mark.parametrize("m", [0, 1, 5])
+@pytest.mark.parametrize("m", [0, 1, 5, 16])
 def test_fwht_reads_its_input_only(m):
     values = substream(416, m).uniform(-1.0, 1.0, size=1 << m)
     before = values.copy()
@@ -127,6 +129,23 @@ def test_fwht_reads_its_input_only(m):
     assert frozen.tobytes() == out.tobytes()
     assert not np.shares_memory(frozen, values)
     frozen[0] = 7.0  # a fresh, writable table
+
+
+def test_transforms_refuse_a_table_that_overflows():
+    # 1e308 + 1e308 is inf: the adopted output is still checked for finiteness
+    big = [1e308, 1e308]
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"^table values must be finite$"):
+            transform(CubeFunction(m=1, values=big))
+        with pytest.raises(ValueError, match=r"^table values must be finite$"):
+            inverse_transform(FourierSpectrum(m=1, coefficients=big))
+
+
+def test_fwht_is_one_traced_call_under_its_own_name():
+    # the benchmark's fourier.fwht.points counter wraps _fwht by name and reads
+    # ``values``; a call of _fwht from inside itself would be counted twice
+    assert list(inspect.signature(_fwht).parameters) == ["values"]
+    assert "_fwht" not in _fwht.__code__.co_names
 
 
 @pytest.mark.parametrize("m", range(9))
