@@ -18,6 +18,8 @@ import sys
 import traceback
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import classical, combinatorics, quantum, verify
 from .errors import BudgetExceeded
 # _sample_promise_arrays is not called here; the binding stays because
@@ -175,7 +177,7 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
                 "trial": t,
                 "n": args.n,
                 "r": args.reps,
-                "d": int(disagree.sum()),
+                "d": int(np.count_nonzero(disagree)),
                 "source": inst.source,
                 "guess": guess,
                 "correct": int(guess == inst.source),

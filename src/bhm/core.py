@@ -12,6 +12,7 @@ structural equality, and can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -124,6 +125,36 @@ def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _decimal_rows(top: int) -> np.ndarray:
+    """Read-only uint8 table whose row v holds the ASCII decimal of v, for v in 0..top.
+
+    Each row is right-aligned in the width of ``top``, zero-byte padded in
+    front, with one spare zero byte at the end for a separator.  A perfect
+    matching on {1..2n} needs the rows of 1..2n, so one table serves every
+    matching of one size.
+    """
+    width = len(str(top))
+    values = np.arange(top + 1)
+    rows = np.zeros((top + 1, width + 1), dtype=np.uint8)
+    for column in range(width):
+        place = 10 ** (width - 1 - column)
+        # a place above v's leading digit stays a zero byte; row 0 keeps its units "0"
+        shown = (values >= place) | (place == 1)
+        rows[shown, column] = values[shown] // place % 10 + ord("0")
+    rows.setflags(write=False)
+    return rows
+
+
+def _endpoint(token: str) -> int:
+    """One endpoint of matching text, written as ``to_text`` writes it."""
+    value = int(token)  # its refusal names text that is no integer at all
+    # int() also reads signs, spaces, a newline and non-ASCII digits
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"endpoint {token!r} is not a run of ASCII digits 0-9")
+    return value
+
+
 _NOT_PAIRS = "edges must be a nonempty sequence of pairs"
 _NOT_A_COVER = "edges must cover {1..2n} exactly once"
 
@@ -179,9 +210,9 @@ class PerfectMatching:
 
     @classmethod
     def from_text(cls, text: str) -> PerfectMatching:
-        """Parse the 'k1-l1,k2-l2,...' encoding."""
+        """Parse the 'k1-l1,k2-l2,...' encoding, endpoints in ASCII digits only."""
         try:
-            edges = tuple(tuple(int(v) for v in chunk.split("-")) for chunk in text.split(","))
+            edges = tuple(tuple(map(_endpoint, chunk.split("-"))) for chunk in text.split(","))
             # numpy would hold an endpoint past int64 as a float or an object
             if max(map(max, edges)) >= 1 << 63:
                 raise ValueError(_NOT_A_COVER)
@@ -213,7 +244,12 @@ class PerfectMatching:
         return hash(self._pairs.tobytes())
 
     def to_text(self) -> str:
-        return ",".join(["%d-%d"] * self.n) % tuple((self._pairs + 1).ravel().tolist())
+        # each edge's two endpoint rows, as a fresh (n, 2, width + 1) array
+        tokens = _decimal_rows(self.size).take(self._pairs + 1, axis=0)
+        tokens[:, 0, -1] = ord("-")
+        tokens[:, 1, -1] = ord(",")
+        # zero bytes are padding; drop them and the last edge's comma
+        return tokens.tobytes().translate(None, b"\0")[:-1].decode()
 
     def pairs_array(self) -> np.ndarray:
         """Edges as a read-only 0-based (n, 2) integer array."""

@@ -66,6 +66,11 @@ def sorted_pairs_oracle(pairs) -> np.ndarray:
     return pairs - 1
 
 
+def matching_text_oracle(matching: PerfectMatching) -> str:
+    """'k1-l1,k2-l2,...' by one ``%d-%d`` format per edge over the canonical 1-based pairs."""
+    return ",".join(["%d-%d"] * matching.n) % tuple((matching.pairs_array() + 1).ravel().tolist())
+
+
 def naive_walsh_coefficients(values: np.ndarray) -> np.ndarray:
     """O(4^m) double-loop transform with the 2^-m normalization."""
     size = len(values)

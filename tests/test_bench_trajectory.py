@@ -41,6 +41,13 @@ def test_reads_the_exact_pairs_of_bench_30():
     assert (round(row.parent_median, 3), round(row.change_median, 3)) == (0.227, 0.141)
 
 
+def test_reads_the_instances_pairs_of_bench_31():
+    record = json.loads((ROOT / "BENCH_31.json").read_text())
+    row = bench_trajectory.summarize(record)["instances"]
+    assert (row.pairs, row.change_wins) == (10, 10)
+    assert (round(row.parent_median, 3), round(row.change_median, 3)) == (0.219, 0.168)
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

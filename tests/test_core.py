@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhm.combinatorics import enumerate_matchings
-from bhm.core import BitString, PerfectMatching, apply_matching, lift_character
+from bhm.core import BitString, PerfectMatching, _decimal_rows, apply_matching, lift_character
 from bhm.errors import DimensionMismatch
 from bhm.instances import sample_matching
 from bhm.seeding import substream
 
-from helpers import gf2_matrix_product, sorted_pairs_oracle
+from helpers import gf2_matrix_product, matching_text_oracle, sorted_pairs_oracle
 
 
 def test_bitstring_round_trips():
@@ -100,6 +100,11 @@ def test_matching_constructor_refuses_ragged_edges():
     + [
         ("1-2,3.0-4", "invalid literal for int() with base 10: '3.0'"),
         ("1-2,3-x", "invalid literal for int() with base 10: 'x'"),
+        # int() reads each of these endpoints, but to_text never writes them
+        (" 1 -2,3-4", "endpoint ' 1 ' is not a run of ASCII digits 0-9"),
+        ("+1-2,3-4", "endpoint '+1' is not a run of ASCII digits 0-9"),
+        ("\uff11-2,3-4", "endpoint '\uff11' is not a run of ASCII digits 0-9"),
+        ("1-2,3-4\n", "endpoint '4\\n' is not a run of ASCII digits 0-9"),
         ("1-2,3", "edges must be a nonempty sequence of pairs"),
         ("1-2-3,4-5", "edges must be a nonempty sequence of pairs"),
     ],
@@ -110,6 +115,28 @@ def test_matching_text_refusals_name_the_reason(text, reason):
     with pytest.raises(ValueError) as info:
         PerfectMatching.from_text(text)
     assert str(info.value) == f"not a matching: {text!r} ({reason})"
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 49, 50, 499, 500, 4999, 5000, 50_000])
+def test_matching_text_equals_the_format_oracle_at_each_decimal_width(n):
+    # n = 5, 50, 500, 5000 and 50,000 are the first with 2n one digit wider
+    matching = sample_matching(n, substream(17, n))
+    text = matching.to_text()
+    assert text == matching_text_oracle(matching)
+    assert repr(matching) == f"PerfectMatching({matching_text_oracle(matching)!r})"
+    assert PerfectMatching.from_text(text) == matching
+
+
+def test_matching_text_survives_a_size_change_and_a_second_call():
+    # the decimal table is cached for one size at a time and is never written
+    small, large = sample_matching(4, substream(18, 0)), sample_matching(500, substream(18, 1))
+    for matching in (small, large, small, large, large, small):
+        assert matching.to_text() == matching_text_oracle(matching)
+    rows = _decimal_rows(small.size)
+    snapshot = rows.tobytes()
+    assert small.to_text() == small.to_text() == matching_text_oracle(small)
+    assert rows.tobytes() == snapshot and not rows.flags.writeable
+    assert _decimal_rows.cache_info().currsize == 1
 
 
 #: Derandomized so the suite runs the same examples on every run.
