@@ -23,7 +23,7 @@ import numpy as np
 from .combinatorics import MonteCarloEstimate, count_matchings, enumerate_matchings
 from .core import BitString, PerfectMatching
 from .errors import BudgetExceeded
-from .fourier import _popcounts, matching_image_table
+from .fourier import _weight_table, matching_image_table
 # _sample_t_arrays is not called here; the binding stays because
 # perfbench's tracer self-test checks that it wraps this module's name
 from .instances import (  # noqa: F401
@@ -241,7 +241,7 @@ def _joint_mass(n: int) -> tuple[np.ndarray, int]:
     """
     _check_enumeration_budget(n)
     weights, scale = _noise_weights(n)
-    mu0 = np.array(weights, dtype=np.int64)[_popcounts(1 << n)]
+    mu0 = _weight_table(np.array(weights, dtype=np.int64), n)
     mu = np.stack([mu0, mu0[::-1]])  # mu_1 is mu_0 at the complemented pattern
     images = np.stack(
         [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)],
@@ -269,7 +269,7 @@ def alice_constant(n: int) -> np.ndarray:
 
 def alice_parity(n: int) -> np.ndarray:
     """Message map sending the global parity of x."""
-    return _popcounts(1 << (2 * n)) & 1
+    return _weight_table(np.arange(2 * n + 1) & 1, 2 * n)
 
 
 def alice_dictator(n: int, position: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -44,21 +43,37 @@ def count_matchings(t: int) -> int:
     return _product(range(1, t, 2))
 
 
+def _matchings_on(
+    items: tuple[int, ...], memo: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All perfect matchings on ``items``, each tail listing built once per ``memo``.
+
+    The first point is paired with each later point in turn, followed by
+    every matching of the points left over.  Different pairings can leave
+    the same points, so each listing is kept in ``memo``; tuples are
+    immutable, so the listings share their tails.
+    """
+    if not items:
+        return ((),)
+    listing = memo.get(items)
+    if listing is None:
+        first, rest = items[0], items[1:]
+        out: list[tuple[tuple[int, int], ...]] = []
+        for i, partner in enumerate(rest):
+            head = ((first, partner),)
+            out.extend([head + tail for tail in _matchings_on(rest[:i] + rest[i + 1 :], memo)])
+        listing = memo[items] = tuple(out)
+    return listing
+
+
 def enumerate_matchings(t: int) -> list[tuple[tuple[int, int], ...]]:
-    """All perfect matchings on {1..t} in canonical pair order."""
+    """All perfect matchings on {1..t} in canonical pair order.
+
+    The memo of tail listings lives for this call only.
+    """
     if t < 0 or t % 2 != 0:
         raise ValueError(f"perfect matchings need an even number of points, got {t}")
-
-    def rec(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not items:
-            yield ()
-            return
-        first, rest = items[0], items[1:]
-        for i, partner in enumerate(rest):
-            for tail in rec(rest[:i] + rest[i + 1 :]):
-                yield ((first, partner),) + tail
-
-    return list(rec(tuple(range(1, t + 1))))
+    return list(_matchings_on(tuple(range(1, t + 1)), {}))
 
 
 def _validate_weight(n: int, k: int) -> None:

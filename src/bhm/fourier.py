@@ -164,6 +164,19 @@ def _popcounts(size: int) -> np.ndarray:
     return np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
 
 
+def _weight_table(by_weight: np.ndarray, m: int) -> np.ndarray:
+    """A fresh 2^m array whose entry i is ``by_weight[popcount(i)]``.
+
+    The index splits as i = h * 2^low + l with low = m // 2, and popcount(i)
+    is popcount(h) + popcount(l).  ``rows[w]`` is the 2^low entries of weight
+    offset w, so the table is whole rows of that small matrix gathered by
+    popcount(h): no index array of 2^m entries is built.
+    """
+    low = m // 2
+    rows = by_weight[np.arange(m - low + 1)[:, None] + _popcounts(1 << low)]
+    return rows[_popcounts(1 << (m - low))].reshape(-1)
+
+
 def _index_bits(indices: np.ndarray, length: int) -> np.ndarray:
     """int64 rows of the 0/1 bits of cube-table indices; column i holds bit 2**i."""
     return (indices[:, None] >> np.arange(length)) & 1
@@ -240,7 +253,7 @@ def check_kkl(f: CubeFunction, delta: float) -> tuple[float, float, bool]:
         raise ValueError("function must take values in {-1, 0, 1}")
     size = 1 << f.m
     t = float(np.count_nonzero(vals)) / size
-    weights = float(delta) ** _popcounts(size)  # 0.0**0 == 1.0 as required
+    weights = _weight_table(float(delta) ** np.arange(f.m + 1), f.m)  # 0.0**0 == 1.0 as required
     lhs = float(weights @ (transform(f).coefficients ** 2))
     rhs = float(t ** (2.0 / (1.0 + delta)))
     return lhs, rhs, lhs <= rhs + 1e-12
@@ -256,7 +269,7 @@ def mu_difference(n: int) -> CubeFunction:
     """Table of mu_0(y) - mu_1(y), the signed gap of the two biased products.
 
     Both densities depend on y only through its weight, so the n + 1
-    values are computed once and gathered by popcount.
+    values are computed once and spread by :func:`_weight_table`.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -266,7 +279,7 @@ def mu_difference(n: int) -> CubeFunction:
     # and the scale 4^n is a power of two
     mu0 = np.array(weights, dtype=np.float64) / scale
     by_weight = mu0 - mu0[::-1]  # mu_1 is mu_0 of the complement, of weight n - k
-    return CubeFunction._adopt(n, by_weight[_popcounts(1 << n)])
+    return CubeFunction._adopt(n, _weight_table(by_weight, n))
 
 
 def closed_form_spectrum_table(n: int) -> np.ndarray:
@@ -274,12 +287,14 @@ def closed_form_spectrum_table(n: int) -> np.ndarray:
 
     The coefficient at s is 2 (2p - 1)^k / 2^n, p = NOISE_BIAS, when the
     weight k of s is odd, else 0; it is computed once per weight and
-    gathered by popcount.
+    spread by :func:`_weight_table`.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     _check_table_dim(n)
     ks = np.arange(n + 1)
     by_weight = np.where(ks % 2 == 1, 2.0 * float(2 * NOISE_BIAS - 1) ** ks / 2.0**n, 0.0)
-    return by_weight[_popcounts(1 << n)]
+    return _weight_table(by_weight, n)
 
 
 def matching_image_table(matching: PerfectMatching) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -69,6 +70,26 @@ def sorted_pairs_oracle(pairs) -> np.ndarray:
 def matching_text_oracle(matching: PerfectMatching) -> str:
     """'k1-l1,k2-l2,...' by one ``%d-%d`` format per edge over the canonical 1-based pairs."""
     return ",".join(["%d-%d"] * matching.n) % tuple((matching.pairs_array() + 1).ravel().tolist())
+
+
+def enumerate_matchings_oracle(t: int) -> list[tuple[tuple[int, int], ...]]:
+    """All perfect matchings on {1..t} by a fresh generator chain for every tail.
+
+    The first point is paired with each later point in turn, followed by
+    every matching of the rest; ``enumerate_matchings`` must equal this
+    list entry for entry and in order.
+    """
+
+    def rec(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if not items:
+            yield ()
+            return
+        first, rest = items[0], items[1:]
+        for i, partner in enumerate(rest):
+            for tail in rec(rest[:i] + rest[i + 1 :]):
+                yield ((first, partner),) + tail
+
+    return list(rec(tuple(range(1, t + 1))))
 
 
 def naive_walsh_coefficients(values: np.ndarray) -> np.ndarray:

@@ -48,6 +48,13 @@ def test_reads_the_instances_pairs_of_bench_31():
     assert (round(row.parent_median, 3), round(row.change_median, 3)) == (0.219, 0.168)
 
 
+def test_reads_the_exact_pairs_of_bench_32():
+    record = json.loads((ROOT / "BENCH_32.json").read_text())
+    row = bench_trajectory.summarize(record)["exact"]
+    assert (row.pairs, row.change_wins) == (10, 10)
+    assert (round(row.parent_median, 3), round(row.change_median, 3)) == (0.142, 0.106)
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

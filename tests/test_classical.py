@@ -248,7 +248,7 @@ def test_bayes_success_exact_values():
 
 
 def test_alice_parity_is_the_weight_parity_of_x():
-    for n in range(1, 5):
+    for n in range(1, 7):
         parity = alice_parity(n)
         assert parity.dtype == np.int64
         expected = [BitString.from_index(2 * n, i).hamming_weight() & 1 for i in range(1 << 2 * n)]

@@ -15,7 +15,7 @@ from bhm.combinatorics import (
 from bhm.core import BitString, PerfectMatching
 from bhm.seeding import substream
 
-from helpers import gamma_monte_carlo_oracle
+from helpers import enumerate_matchings_oracle, gamma_monte_carlo_oracle
 
 
 def test_count_matchings_values():
@@ -31,6 +31,19 @@ def test_count_matchings_equals_enumeration():
         # equality and hash compare the canonical pair bytes
         assert len(set(listing)) == len(listing)
         assert len({PerfectMatching(pairs) for pairs in listing}) == count_matchings(t)
+
+
+@pytest.mark.parametrize("t", range(0, 13, 2))
+def test_enumeration_equals_the_generator_oracle_in_order(t):
+    assert enumerate_matchings(t) == enumerate_matchings_oracle(t)
+
+
+def test_enumeration_returns_a_new_list_each_call():
+    first = enumerate_matchings(6)
+    first.append(((1, 2),))
+    second = enumerate_matchings(6)
+    assert second is not first
+    assert second == enumerate_matchings_oracle(6)
 
 
 def test_balanced_product_equals_math_prod():

@@ -13,6 +13,7 @@ from bhm.fourier import (
     CubeFunction,
     FourierSpectrum,
     _fwht,
+    _weight_table,
     check_kkl,
     check_l1_l2,
     check_parseval,
@@ -306,6 +307,48 @@ def test_weight_indexed_tables_refuse_above_the_cap(monkeypatch, table):
     monkeypatch.setattr(fourier, "_popcounts", no_tables)
     with pytest.raises(BudgetExceeded, match=f"{DEFAULT_MAX_DIM + 1} exceeds cap"):
         table(DEFAULT_MAX_DIM + 1)
+
+
+@pytest.mark.parametrize("table", [mu_difference, closed_form_spectrum_table])
+@pytest.mark.parametrize("n", [0, -1])
+def test_weight_indexed_tables_refuse_n_below_one(table, n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        table(n)
+
+
+def _popcount_oracle(m):
+    return np.bitwise_count(np.arange(2**m, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("m", range(DEFAULT_MAX_DIM + 1))
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_weight_table_equals_the_full_index_gather(m, dtype):
+    # distinct values per weight, so a wrong weight shows as a wrong entry
+    by_weight = (np.arange(m + 1) * 7 + 3).astype(dtype)
+    if dtype == np.float64:
+        by_weight = by_weight / 9.0
+    table = _weight_table(by_weight, m)
+    expected = by_weight[_popcount_oracle(m)]
+    assert table.dtype == dtype
+    assert table.shape == (2**m,)
+    assert table.tobytes() == expected.tobytes()
+    again = _weight_table(by_weight, m)
+    assert table.flags.writeable and not np.shares_memory(table, again)
+    assert not np.shares_memory(table, by_weight)
+    table[...] = 0
+    assert again.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", range(13))
+@pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+def test_kkl_weights_equal_the_elementwise_powers(m, delta):
+    # the old route: one power per table entry, over int64 popcounts
+    ones = _popcount_oracle(m).astype(np.int64)
+    weights = float(delta) ** ones
+    assert _weight_table(float(delta) ** np.arange(m + 1), m).tobytes() == weights.tobytes()
+    vals = substream(417, m).choice([-1.0, 0.0, 1.0], size=1 << m, p=[0.3, 0.4, 0.3])
+    f = CubeFunction(m=m, values=vals)
+    assert check_kkl(f, delta)[0] == float(weights @ (transform(f).coefficients ** 2))
 
 
 def test_mu_difference_matches_exact_densities():
