@@ -6,7 +6,7 @@ is always measured against the generating mixture: uniform x and
 matching, fair source bit, 3/4-biased observations.
 
 Two exact tools back the Monte-Carlo runners at tiny sizes: the optimal
-Bob for a fixed Alice map (Bayes rule on the exact joint mass) and full
+Bob for a fixed Alice map (Bayes rule on the exact source gap) and full
 enumeration over all Alice maps for one-bit messages.  Both use integer
 arithmetic; nothing is truncated silently, budgets fail loudly.
 """
@@ -36,8 +36,12 @@ from .instances import (  # noqa: F401
 from .quantum import majority_success
 from .seeding import HYPERGEOM_MAX, HalfWords, substream
 
-#: Work cap for the exact joint-mass enumeration (2^2n * matchings * 2^n).
+#: Work cap for the exact enumeration: the source gap has 2^2n * matchings * 2^n entries.
 ENUMERATION_BUDGET = 100_000
+
+#: Largest n whose budget refusals print their counts in full: 2^3n (2n-1)!!
+#: has over 4,300 digits from n = 1130 on, which Python refuses to print.
+_FULL_COUNT_MAX_N = 1000
 
 #: Cap on the number of Alice maps the brute force will enumerate.
 MAP_BUDGET = 1 << 16
@@ -224,6 +228,10 @@ def run_subset_trials(
 
 def _check_enumeration_budget(n: int) -> None:
     """Refuse an exact enumeration at n over :data:`ENUMERATION_BUDGET`, building nothing."""
+    if n > _FULL_COUNT_MAX_N:
+        raise BudgetExceeded(
+            f"exact enumeration needs over 2^{3 * n} tuple visits, budget is {ENUMERATION_BUDGET}"
+        )
     work = (1 << (2 * n)) * count_matchings(2 * n) * (1 << n)
     if work > ENUMERATION_BUDGET:
         raise BudgetExceeded(
@@ -231,35 +239,28 @@ def _check_enumeration_budget(n: int) -> None:
         )
 
 
-def _joint_mass(n: int) -> tuple[np.ndarray, int]:
-    """The mixture's exact joint mass over (x, matching, source, w), scaled to integers.
+def _gap_matrix(n: int) -> tuple[np.ndarray, int]:
+    """The mixture's exact source gap, one row per observation, scaled to integers.
 
-    Returns (mass, denom) with mass[x, matching, b, w] = q^n mu_b(w xor Mx),
-    q^n the scale of :func:`_noise_weights` and matchings in
-    :func:`enumerate_matchings` order, so that the mixture probability of a
-    cell is mass / denom.  :data:`ENUMERATION_BUDGET` is checked first.
+    Returns (gap, denom): gap[(matching, w), x] = q^n (mu_0 - mu_1)(w xor Mx)
+    in int64, q^n the scale of :func:`_noise_weights`, matchings in
+    :func:`enumerate_matchings` order, and the cell (x, matching, b, w) has
+    mixture probability q^n mu_b(w xor Mx) / denom.  Every row sums to 0,
+    as Mx is uniform when x is, and the whole mass is denom; since the best
+    Bob wins max(m0, m1) = (m0 + m1 + |m0 - m1|) / 2, an Alice map with
+    message classes A succeeds with exactly (denom + sum_A |gap 1_A|_1) /
+    (2 denom).  :data:`ENUMERATION_BUDGET` is checked first.
     """
     _check_enumeration_budget(n)
     weights, scale = _noise_weights(n)
-    mu0 = _weight_table(np.array(weights, dtype=np.int64), n)
-    mu = np.stack([mu0, mu0[::-1]])  # mu_1 is mu_0 at the complemented pattern
+    by_weight = np.array(weights, dtype=np.int64)
+    # mu_1 is mu_0 at the complemented pattern, so its weights run backwards
+    table = _weight_table(by_weight - by_weight[::-1], n)
     images = np.stack(
-        [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)],
-        axis=1,
-    )
-    noise = images[:, :, None] ^ np.arange(1 << n)  # [x, matching, w]
-    mass = np.moveaxis(mu[:, noise], 0, 2)
-    return mass, 2 * images.size * scale
-
-
-def _winning_mass(joint: np.ndarray) -> np.ndarray:
-    """The best Bob's winning mass, one total per message class.
-
-    ``joint[..., matching, b, w]`` is the joint mass of one message class.
-    On each (matching, w) Bob guesses the source with the larger mass; the
-    result sums those larger masses over (matching, w).
-    """
-    return np.maximum(joint[..., 0, :], joint[..., 1, :]).sum(axis=(-2, -1))
+        [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)]
+    )  # [matching, x]
+    gap = table[images[:, None, :] ^ np.arange(1 << n)[:, None]]  # [matching, w, x]
+    return gap.reshape(-1, images.shape[1]), 2 * images.size * scale
 
 
 def alice_constant(n: int) -> np.ndarray:
@@ -289,9 +290,9 @@ def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction
     """Exact success of the best Bob for a fixed Alice map.
 
     ``alice`` assigns a message in [0, 2^c) to every x index.  The optimal
-    Bob guesses the source with the larger joint mass on each observable
-    (message, matching, w); the sum of winning masses is computed in
-    integer arithmetic and returned as an exact rational.
+    Bob guesses the source with the larger mass on each observable
+    (message, matching, w); one integer product of :func:`_gap_matrix`
+    with the message classes gives it as an exact rational.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -305,11 +306,10 @@ def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction
         raise ValueError(f"alice map must have length {1 << (2 * n)}")
     if alice_map.min() < 0 or alice_map.max() >= (1 << c):
         raise ValueError(f"alice map values must lie in [0, {1 << c})")
-    mass, denom = _joint_mass(n)
+    gap, denom = _gap_matrix(n)
     # one-hot message matrix: one row per message value Alice sends
     classes = (alice_map == np.unique(alice_map)[:, None]).astype(np.int64)
-    joint = np.tensordot(classes, mass, axes=1)  # [message, matching, b, w]
-    return Fraction(int(_winning_mass(joint).sum()), denom)
+    return Fraction(denom + int(np.abs(gap @ classes.T).sum()), 2 * denom)
 
 
 def bruteforce_optimal(n: int, c: int) -> SuccessReport:
@@ -322,8 +322,9 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
     """
     if n < 1 or c < 0:
         raise ValueError("need n >= 1 and c >= 0")
-    if c == 0 or c >= 2 * n:
-        # before the 4^n-entry message map below is built
+    if c == 0 or c >= 2 * n or n > _FULL_COUNT_MAX_N:
+        # before the 4^n-entry message map below is built, or a map count
+        # too long to print
         _check_enumeration_budget(n)
     num_x = 1 << (2 * n)
     if c == 0:
@@ -363,29 +364,24 @@ def _bruteforce_one_bit(n: int) -> tuple[Fraction, int]:
     its messages only; map j sends x index i >= 1 to bit i - 1 of j, so
     its bits are 2j.
     """
-    mass, denom = _joint_mass(n)
-    twice = _one_bit_twice_winning_mass(mass)
+    gap, denom = _gap_matrix(n)
+    twice = _one_bit_twice_winning_mass(gap, denom)
     best = int(np.argmax(twice))
     return Fraction(int(twice[best]), 2 * denom), 2 * best
 
 
-def _one_bit_twice_winning_mass(mass: np.ndarray) -> np.ndarray:
+def _one_bit_twice_winning_mass(gap: np.ndarray, denom: int) -> np.ndarray:
     """Twice the best Bob's winning mass of every one-bit map j, as int64.
 
-    On each observation (matching, w), max(m0, m1) = (m0 + m1 + |m0 - m1|) / 2,
-    so twice a map's winning mass is the total mass plus the absolute
-    source gaps of both message classes.  The class-1 gaps of all maps
-    are the subset sums of the per-x gaps, one doubling per x.
+    ``(gap, denom)`` is :func:`_gap_matrix`.  Its rows sum to 0, so the
+    class-0 gap of each observation is minus the class-1 gap, and twice
+    a map's winning mass is denom + 2 sum |gap_1|.  The class-1 gaps of
+    all maps are the subset sums of the per-x gaps, one doubling per x.
     """
-    # gap[cell, x]: source-0 minus source-1 mass of x on cell (matching, w)
-    gap = (mass[:, :, 0, :] - mass[:, :, 1, :]).reshape(mass.shape[0], -1).T
     num_x = gap.shape[1]
     gap1 = np.zeros((gap.shape[0], 1 << (num_x - 1)), dtype=np.int64)
     for i in range(1, num_x):
         width = 1 << (i - 1)
         np.add(gap1[:, :width], gap[:, i, None], out=gap1[:, width : 2 * width])
-    twice = np.full(gap1.shape[1], mass.sum())
-    for row, total in zip(gap1, gap.sum(axis=1)):  # one cell at a time stays in cache
-        twice += np.abs(row)
-        twice += np.abs(total - row)
-    return twice
+    np.abs(gap1, out=gap1)  # in place: a fresh table of this size costs page faults
+    return denom + 2 * gap1.sum(axis=0)

@@ -14,11 +14,11 @@ from typing import Iterator
 
 import numpy as np
 
-from bhm.classical import _joint_mass, _known_edge_count, _known_edge_law, _winning_mass
+from bhm.classical import _known_edge_count, _known_edge_law
 from bhm.combinatorics import enumerate_matchings
 from bhm.core import BitString, PerfectMatching
-from bhm.fourier import CubeFunction, _index_bits
-from bhm.instances import BhmInstance, _sample_promise_arrays, sample_T
+from bhm.fourier import CubeFunction, _index_bits, matching_image_table
+from bhm.instances import BhmInstance, _noise_weights, _sample_promise_arrays, sample_T
 from bhm.quantum import majority_success
 from bhm.seeding import substream
 from bhm.verify import CheckResult
@@ -246,19 +246,49 @@ def bayes_oracle(cells, alice) -> Fraction:
     return sum(max(pair) for pair in mass.values())
 
 
+def joint_mass_oracle(n: int) -> np.ndarray:
+    """The mixture's joint mass over (x, matching, source, w), scaled to integers.
+
+    mass[x, matching, b, w] = q^n mu_b(w xor Mx) in int64, q^n the scale of
+    ``instances._noise_weights`` and matchings in ``enumerate_matchings``
+    order; the mixture probability of a cell is mass / mass.sum().  mu_0
+    is the full-index gather of the noise weights by popcount, and mu_1
+    is mu_0 at the complemented pattern.
+    """
+    weights, _ = _noise_weights(n)
+    mu0 = np.array(weights, dtype=np.int64)[np.bitwise_count(np.arange(1 << n))]
+    mu = np.stack([mu0, mu0[::-1]])
+    images = np.stack(
+        [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)],
+        axis=1,
+    )
+    noise = images[:, :, None] ^ np.arange(1 << n)  # [x, matching, w]
+    return np.moveaxis(mu[:, noise], 0, 2)
+
+
+def winning_mass_oracle(joint: np.ndarray) -> np.ndarray:
+    """The best Bob's winning mass, one total per message class.
+
+    ``joint[..., matching, b, w]`` is the joint mass of one message class.
+    On each (matching, w) Bob guesses the source with the larger mass; the
+    result sums those larger masses over (matching, w).
+    """
+    return np.maximum(joint[..., 0, :], joint[..., 1, :]).sum(axis=(-2, -1))
+
+
 def bruteforce_one_bit_oracle(n: int) -> np.ndarray:
     """Winning mass of every one-bit Alice map, by an integer tensordot per class.
 
     Entry j is the map with bits 2j, as in ``classical._bruteforce_one_bit``:
     the 0/1 row of each map picks the x of message class 1 out of the
-    joint mass, class 0 is the rest, and ``_winning_mass`` scores both.
+    joint mass, class 0 is the rest, and ``winning_mass_oracle`` scores both.
     """
-    mass, _ = _joint_mass(n)
+    mass = joint_mass_oracle(n)
     num_x = mass.shape[0]
     maps = np.arange(0, 1 << num_x, 2, dtype=np.int64)
     mass1 = np.tensordot(_index_bits(maps, num_x), mass, axes=1)
     mass0 = mass.sum(axis=0) - mass1
-    return _winning_mass(mass0) + _winning_mass(mass1)
+    return winning_mass_oracle(mass0) + winning_mass_oracle(mass1)
 
 
 def _in_promise(n: int, d: int) -> bool:

@@ -55,6 +55,15 @@ def test_reads_the_exact_pairs_of_bench_32():
     assert (round(row.parent_median, 3), round(row.change_median, 3)) == (0.142, 0.106)
 
 
+def test_reads_the_exact_and_verify_pairs_of_bench_33():
+    # a simplicity change: ten pairs per workload, no gain claimed
+    record = json.loads((ROOT / "BENCH_33.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    assert sorted(rows) == ["exact", "verify"]
+    assert [(rows[w].pairs, rows[w].change_wins) for w in ("exact", "verify")] == [(10, 7), (10, 5)]
+    assert record["claim"].startswith("No gain claimed")
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

@@ -10,7 +10,7 @@ import pytest
 from bhm import classical
 from bhm.classical import (
     _bruteforce_one_bit,
-    _joint_mass,
+    _gap_matrix,
     _known_edge_law,
     _one_bit_twice_winning_mass,
     alice_constant,
@@ -33,10 +33,12 @@ from helpers import (
     bayes_oracle,
     bruteforce_one_bit_oracle,
     expected_internal_edges,
+    joint_mass_oracle,
     mixture_average,
     mixture_cells,
     subset_promise_success_oracle,
     subset_trial_oracle,
+    winning_mass_oracle,
     z_score,
 )
 
@@ -273,6 +275,34 @@ def test_bayes_success_equals_first_principles_oracle():
             assert bayes_success(amap, n, c) == oracle
 
 
+def test_bayes_success_at_n3_equals_both_oracles():
+    # n = 3 is the largest n under ENUMERATION_BUDGET
+    n = 3
+    cells = mixture_cells(n)
+    mass = joint_mass_oracle(n)
+    maps = [(alice_identity(n), 2 * n)]
+    maps += [(substream(633, n, c).integers(0, 1 << c, size=1 << (2 * n)), c) for c in (1, 2, 3)]
+    for amap, c in maps:
+        value = bayes_success(amap, n, c)
+        assert value == bayes_oracle(cells, lambda x, amap=amap: int(amap[x.to_index()]))
+        classes = (amap == np.arange(1 << c)[:, None]).astype(np.int64)
+        joint = np.tensordot(classes, mass, axes=1)
+        assert value == Fraction(int(winning_mass_oracle(joint).sum()), int(mass.sum()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gap_matrix_is_the_source_gap_of_the_joint_mass(n):
+    mass = joint_mass_oracle(n)
+    gap, denom = _gap_matrix(n)
+    assert gap.dtype == np.int64
+    # rows (matching, w), matching major; columns x
+    expected = (mass[:, :, 0, :] - mass[:, :, 1, :]).reshape(mass.shape[0], -1).T
+    assert np.array_equal(gap, expected)
+    # Mx is uniform for uniform x, so no row favours a source on its own
+    assert not gap.sum(axis=1).any()
+    assert int(mass.sum()) == denom
+
+
 def test_bruteforce_is_the_best_one_bit_map_under_the_oracle():
     cells = mixture_cells(1)
     values = [
@@ -288,9 +318,9 @@ def test_bruteforce_is_the_best_one_bit_map_under_the_oracle():
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_bit_scores_equal_the_tensordot_oracle(n):
     score = bruteforce_one_bit_oracle(n)
-    mass, denom = _joint_mass(n)
-    # twice each winning mass is the total mass plus both classes' absolute source gaps
-    twice = _one_bit_twice_winning_mass(mass)
+    gap, denom = _gap_matrix(n)
+    # twice each winning mass is denom plus both classes' absolute source gaps, which are equal
+    twice = _one_bit_twice_winning_mass(gap, denom)
     assert twice.dtype == np.int64
     assert np.array_equal(twice, 2 * score)
     best = int(np.argmax(score))

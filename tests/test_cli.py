@@ -112,7 +112,7 @@ def test_bruteforce_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("n", [3, 10, 40])
+@pytest.mark.parametrize("n", [3, 10, 40, 1000])
 def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
     out = tmp_path / "b.json"
     code = run_cli(["bruteforce", "--n", str(n), "--bits", "1", "--out", str(out)])
@@ -122,7 +122,7 @@ def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n, bits", [(4, 0), (4, 8), (40, 0), (40, 80)])
+@pytest.mark.parametrize("n, bits", [(4, 0), (4, 8), (40, 0), (40, 80), (1000, 0)])
 def test_bruteforce_refuses_exact_enumeration_over_budget(tmp_path, capsys, n, bits):
     # checked before the 4^n-entry constant or identity message map is built
     out = tmp_path / "b.json"
@@ -131,6 +131,20 @@ def test_bruteforce_refuses_exact_enumeration_over_budget(tmp_path, capsys, n, b
     work = 4**n * math.prod(range(1, 2 * n, 2)) * 2**n
     message = f"budget exceeded: exact enumeration needs {work} tuple visits, budget is 100000\n"
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, bits", [(1001, 1), (1500, 0), (10000, 1), (10000, 5), (100000, 200000)]
+)
+def test_bruteforce_refuses_counts_past_the_digit_limit_as_over_budget(tmp_path, capsys, n, bits):
+    # past n = 1000 an exact count can pass 4,300 digits, which Python refuses
+    # to print, so every --bits refuses on the enumeration budget's power of two
+    out = tmp_path / "b.json"
+    code = run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)])
+    assert code == cli.EXIT_BUDGET
+    message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 100000"
+    assert capsys.readouterr().err == f"budget exceeded: {message}\n"
     assert not out.exists()
 
 
