@@ -7,8 +7,9 @@ matching, fair source bit, 3/4-biased observations.
 
 Two exact tools back the Monte-Carlo runners at tiny sizes: the optimal
 Bob for a fixed Alice map (Bayes rule on the exact source gap) and full
-enumeration over all Alice maps for one-bit messages.  Both use integer
-arithmetic; nothing is truncated silently, budgets fail loudly.
+enumeration of the one-bit Alice maps that send x and its complement
+alike, which Bob cannot tell apart.  Both use integer arithmetic;
+nothing is truncated silently, budgets fail loudly.
 """
 
 from __future__ import annotations
@@ -286,18 +287,31 @@ def alice_identity(n: int) -> np.ndarray:
     return np.arange(1 << (2 * n), dtype=np.int64)
 
 
+def alice_difference(n: int) -> np.ndarray:
+    """Message map sending x_1 xor x_i for i = 2..2n, as bit i - 2, in 2n - 1 bits.
+
+    Exactly x and its complement share a message.  Bob sees x only
+    through Mx, and M(complement of x) = Mx, so this map reaches the
+    identity map's value.
+    """
+    xs = alice_identity(n)
+    return (xs >> 1) ^ (xs & 1) * ((1 << (2 * n - 1)) - 1)
+
+
 def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction:
     """Exact success of the best Bob for a fixed Alice map.
 
     ``alice`` assigns a message in [0, 2^c) to every x index.  The optimal
     Bob guesses the source with the larger mass on each observable
     (message, matching, w); one integer product of :func:`_gap_matrix`
-    with the message classes gives it as an exact rational.
+    with the message classes gives it as an exact rational.  The budget
+    is checked before the map is read, so no 4^n count is ever printed.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if c < 0:
         raise ValueError(f"message bits c must be nonnegative, got {c}")
+    gap, denom = _gap_matrix(n)
     alice_map = np.asarray(alice)
     if alice_map.dtype.kind not in "iu":
         raise ValueError("alice map values must be integers")
@@ -306,7 +320,6 @@ def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction
         raise ValueError(f"alice map must have length {1 << (2 * n)}")
     if alice_map.min() < 0 or alice_map.max() >= (1 << c):
         raise ValueError(f"alice map values must lie in [0, {1 << c})")
-    gap, denom = _gap_matrix(n)
     # one-hot message matrix: one row per message value Alice sends
     classes = (alice_map == np.unique(alice_map)[:, None]).astype(np.int64)
     return Fraction(denom + int(np.abs(gap @ classes.T).sum()), 2 * denom)
@@ -315,35 +328,33 @@ def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction
 def bruteforce_optimal(n: int, c: int) -> SuccessReport:
     """Maximize Bayes success over all Alice maps with c message bits.
 
-    One-bit maps are enumerated exhaustively (deduplicated by message
-    relabeling); c = 0 is the constant map and c >= 2n the identity map,
-    which dominates every coarser map.  Anything else exceeds any sane
-    map budget and fails loudly.
+    One-bit maps are enumerated exhaustively over the complement-closed
+    maps (:func:`_bruteforce_one_bit`); c = 0 is the constant map, and
+    c >= 2n - 1 is the difference map, which reaches the identity map's
+    value, and the identity map dominates every coarser map.  Anything
+    else exceeds any sane map budget and fails loudly.
     """
     if n < 1 or c < 0:
         raise ValueError("need n >= 1 and c >= 0")
-    if c == 0 or c >= 2 * n or n > _FULL_COUNT_MAX_N:
+    if c == 0 or c >= 2 * n - 1 or n > _FULL_COUNT_MAX_N:
         # before the 4^n-entry message map below is built, or a map count
         # too long to print
         _check_enumeration_budget(n)
     num_x = 1 << (2 * n)
     if c == 0:
         value = bayes_success(alice_constant(n), n, 0)
-        witness = {"message_0": [_x_text(i, n) for i in range(num_x)]}
-    elif c >= 2 * n:
-        # the identity map induces the finest partition, and refining a
-        # partition never lowers the winning mass
-        value = bayes_success(alice_identity(n), n, 2 * n)
-        witness = {"map": "identity"}
+        witness = _message_lists(alice_constant(n), n, 0)
     elif c == 1:
         # compare exponents: the count 2^num_x itself would have 4^n + 1 bits
         if num_x > MAP_BUDGET.bit_length() - 1:
             raise BudgetExceeded(f"2^{num_x} one-bit maps exceed map budget {MAP_BUDGET}")
-        value, best_map = _bruteforce_one_bit(n)
-        witness = {
-            "message_0": [_x_text(i, n) for i in range(num_x) if not (best_map >> i) & 1],
-            "message_1": [_x_text(i, n) for i in range(num_x) if (best_map >> i) & 1],
-        }
+        value, alice = _bruteforce_one_bit(n)
+        witness = _message_lists(alice, n, 1)
+    elif c >= 2 * n - 1:
+        # refining a partition never lowers the winning mass, so the
+        # identity map is optimal, and the difference map equals it
+        value = bayes_success(alice_difference(n), n, 2 * n - 1)
+        witness = {"map": "identity" if c >= 2 * n else "difference"}
     else:
         raise BudgetExceeded(
             f"enumerating 2^{c * num_x} maps for c={c} exceeds any budget"
@@ -353,35 +364,42 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
     )
 
 
-def _x_text(index: int, n: int) -> str:
-    return BitString.from_index(2 * n, index).to_text()
+def _message_lists(alice: np.ndarray, n: int, c: int) -> dict[str, list[str]]:
+    """The witness of a c-bit Alice map: each message's x strings, in index order."""
+    xs = [BitString.from_index(2 * n, i).to_text() for i in range(alice.size)]
+    return {f"message_{m}": [xs[i] for i in np.flatnonzero(alice == m)] for m in range(1 << c)}
 
 
-def _bruteforce_one_bit(n: int) -> tuple[Fraction, int]:
-    """Exhaustive scan of one-bit Alice maps; returns (value, best map bits).
+def _bruteforce_one_bit(n: int) -> tuple[Fraction, np.ndarray]:
+    """Exhaustive scan of the complement-closed one-bit Alice maps; returns (value, map).
 
-    alice(x index 0) is fixed to 0, since complementing a map relabels
-    its messages only; map j sends x index i >= 1 to bit i - 1 of j, so
-    its bits are 2j.
+    Columns x and 4^n - 1 - x of the gap are equal (x and its complement
+    have the same Mx), and moving one of two equal columns between the
+    classes changes the winning mass convexly, so some optimum keeps
+    them together.  Message 0 keeps {0, 4^n - 1}, as swapping messages
+    changes nothing; map j sends x = 4^n/2 + i and its complement to bit
+    i of j.  That orders the maps as their full bits do, so the first
+    argmax is the first optimal complement-closed map in that order.
     """
     gap, denom = _gap_matrix(n)
-    twice = _one_bit_twice_winning_mass(gap, denom)
+    half = gap.shape[1] // 2
+    twice = _one_bit_twice_winning_mass(2 * gap[:, half:-1], denom)
     best = int(np.argmax(twice))
-    return Fraction(int(twice[best]), 2 * denom), 2 * best
+    upper = np.append((best >> np.arange(half - 1)) & 1, 0)  # x = half .. 4^n - 1
+    return Fraction(int(twice[best]), 2 * denom), np.concatenate([upper[::-1], upper])
 
 
-def _one_bit_twice_winning_mass(gap: np.ndarray, denom: int) -> np.ndarray:
+def _one_bit_twice_winning_mass(columns: np.ndarray, denom: int) -> np.ndarray:
     """Twice the best Bob's winning mass of every one-bit map j, as int64.
 
-    ``(gap, denom)`` is :func:`_gap_matrix`.  Its rows sum to 0, so the
-    class-0 gap of each observation is minus the class-1 gap, and twice
-    a map's winning mass is denom + 2 sum |gap_1|.  The class-1 gaps of
-    all maps are the subset sums of the per-x gaps, one doubling per x.
+    Map j sends the ``columns`` of :func:`_gap_matrix` at its set bits to
+    message 1 and every other column to message 0.  The gap's rows sum
+    to 0, so twice a map's winning mass is denom + 2 sum |gap_1|, and
+    the class-1 gaps of all maps are the subset sums of ``columns``.
     """
-    num_x = gap.shape[1]
-    gap1 = np.zeros((gap.shape[0], 1 << (num_x - 1)), dtype=np.int64)
-    for i in range(1, num_x):
-        width = 1 << (i - 1)
-        np.add(gap1[:, :width], gap[:, i, None], out=gap1[:, width : 2 * width])
+    gap1 = np.zeros((columns.shape[0], 1 << columns.shape[1]), dtype=np.int64)
+    for i in range(columns.shape[1]):
+        width = 1 << i
+        np.add(gap1[:, :width], columns[:, i, None], out=gap1[:, width : 2 * width])
     np.abs(gap1, out=gap1)  # in place: a fresh table of this size costs page faults
     return denom + 2 * gap1.sum(axis=0)

@@ -64,6 +64,17 @@ def test_reads_the_exact_and_verify_pairs_of_bench_33():
     assert record["claim"].startswith("No gain claimed")
 
 
+def test_reads_the_exact_and_verify_pairs_of_bench_34():
+    # a simplicity change: ten pairs per workload, no gain claimed
+    record = json.loads((ROOT / "BENCH_34.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    assert sorted(rows) == ["exact", "verify"]
+    assert [(rows[w].pairs, rows[w].change_wins) for w in ("exact", "verify")] == [(10, 9), (10, 0)]
+    assert record["claim"].startswith("No gain claimed")
+    cells = record["traced"]["exact"]
+    assert [cells[s]["final"]["metrics"]["classical.exact.cells"]["value"] for s in cells] == [384, 384]
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from bhm.classical import (
     _one_bit_twice_winning_mass,
     alice_constant,
     alice_dictator,
+    alice_difference,
     alice_identity,
     alice_parity,
     bayes_success,
@@ -301,6 +303,8 @@ def test_gap_matrix_is_the_source_gap_of_the_joint_mass(n):
     # Mx is uniform for uniform x, so no row favours a source on its own
     assert not gap.sum(axis=1).any()
     assert int(mass.sum()) == denom
+    # M(complement of x) = Mx, so column x equals column 4^n - 1 - x
+    assert np.array_equal(gap, gap[:, ::-1])
 
 
 def test_bruteforce_is_the_best_one_bit_map_under_the_oracle():
@@ -319,12 +323,23 @@ def test_bruteforce_is_the_best_one_bit_map_under_the_oracle():
 def test_one_bit_scores_equal_the_tensordot_oracle(n):
     score = bruteforce_one_bit_oracle(n)
     gap, denom = _gap_matrix(n)
-    # twice each winning mass is denom plus both classes' absolute source gaps, which are equal
-    twice = _one_bit_twice_winning_mass(gap, denom)
+    half = gap.shape[1] // 2
+    # the merged scan: upper-half x = half + i and its complement in class 1 at bit i of j
+    twice = _one_bit_twice_winning_mass(2 * gap[:, half:-1], denom)
     assert twice.dtype == np.int64
-    assert np.array_equal(twice, 2 * score)
+    assert twice.size == 1 << (half - 1)
+    full = [
+        sum((1 << (half + i)) | (1 << (half - 1 - i)) for i in range(half - 1) if j >> i & 1)
+        for j in range(twice.size)
+    ]
+    # the oracle's entry k scores the full map with bits 2k
+    assert np.array_equal(twice, 2 * score[np.array(full) >> 1])
+    assert twice.max() == 2 * score.max()
     best = int(np.argmax(score))
-    assert _bruteforce_one_bit(n) == (Fraction(int(score[best]), denom), 2 * best)
+    value, alice = _bruteforce_one_bit(n)
+    assert value == Fraction(int(score[best]), denom)
+    assert alice.dtype == np.int64
+    assert sum(int(a) << x for x, a in enumerate(alice)) == 2 * best
 
 
 def test_one_bit_bruteforce_scans_once_and_never_calls_bayes(monkeypatch):
@@ -377,6 +392,11 @@ def test_bayes_success_validation_and_budget():
     # a fractional map is refused, not truncated to the constant map
     with pytest.raises(ValueError, match="must be integers"):
         bayes_success([0.5] * 16, 2, 1)
+    # the budget is checked before the map, so no 4^n count is built or printed
+    for n in (1001, 10000):
+        message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 100000"
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            bayes_success(np.zeros(4, dtype=np.int64), n, 1)
 
 
 def test_bruteforce_optimal_matches_fixture():
@@ -416,6 +436,21 @@ def test_bruteforce_edge_cases_and_budgets():
         bruteforce_optimal(2, 2)
     with pytest.raises(BudgetExceeded):
         bruteforce_optimal(3, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_difference_map_is_the_subset_protocol_on_one_more_position(n):
+    # its low c bits reveal every parity inside positions 1..c + 1
+    for c in range(1, 2 * n):
+        low = alice_difference(n) & ((1 << c) - 1)
+        assert bayes_success(low, n, c) == subset_mixture_success(n, c + 1, False)
+
+
+@pytest.mark.parametrize("n, value", [(2, Fraction(3, 4)), (3, Fraction(27, 32))])
+def test_bruteforce_at_2n_minus_1_bits_is_the_identity_value(n, value):
+    report = bruteforce_optimal(n, 2 * n - 1)
+    assert report.success_exact == bayes_success(alice_identity(n), n, 2 * n) == value
+    assert report.witness == {"map": "difference"}
 
 
 def test_large_subset_beats_small_subset():

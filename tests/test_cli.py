@@ -112,6 +112,14 @@ def test_bruteforce_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bruteforce_answers_2n_minus_1_bits_with_the_difference_map(tmp_path):
+    out = tmp_path / "b.json"
+    assert run_cli(["bruteforce", "--n", "2", "--bits", "3", "--out", str(out)]) == cli.EXIT_OK
+    (record,) = read_json_lines(out)
+    assert record["success_exact"] == "3/4"
+    assert record["witness"] == {"map": "difference"}
+
+
 @pytest.mark.parametrize("n", [3, 10, 40, 1000])
 def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
     out = tmp_path / "b.json"
@@ -122,9 +130,11 @@ def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n, bits", [(4, 0), (4, 8), (40, 0), (40, 80), (1000, 0)])
+@pytest.mark.parametrize(
+    "n, bits", [(4, 0), (4, 7), (4, 8), (40, 0), (40, 79), (40, 80), (1000, 0)]
+)
 def test_bruteforce_refuses_exact_enumeration_over_budget(tmp_path, capsys, n, bits):
-    # checked before the 4^n-entry constant or identity message map is built
+    # checked before the 4^n-entry constant or difference message map is built
     out = tmp_path / "b.json"
     code = run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)])
     assert code == cli.EXIT_BUDGET
