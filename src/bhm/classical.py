@@ -116,8 +116,7 @@ def subset_trial_outcomes(
         raise ValueError("trials must be positive")
     if not 0 <= c <= 2 * n:
         raise ValueError(f"subset size {c} out of range 0..{2 * n}")
-    ks = np.empty(trials, dtype=np.int64)
-    correct = np.empty(trials, dtype=bool)
+    ks, correct = [], []
     for t in range(trials):
         words = HalfWords(substream(seed, t))
         b, d = _sample_source_and_count(n, words, restrict_promise)
@@ -129,9 +128,9 @@ def subset_trial_outcomes(
             guess = 1
         else:
             guess = words.below(2)
-        ks[t] = k
-        correct[t] = guess == b
-    return ks, correct
+        ks.append(k)
+        correct.append(guess == b)
+    return np.array(ks, dtype=np.int64), np.array(correct, dtype=bool)
 
 
 def _known_edge_count(n: int, c: int, u: Sequence[float]) -> int:

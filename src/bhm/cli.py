@@ -104,12 +104,15 @@ def run_separation_sweep(
     _check_subset_size(subset_size, ns[0])
     _check_subset_n("--ns", ns[-1])
     rows = []
+    # the trial loop's callees as locals: one lookup per sweep, not per trial
+    reader, stream = HalfWords, substream
+    sample, vote = _sample_source_and_count, quantum.majority_vote_count
     for grid_idx, n in enumerate(ns):
         hits = 0
         for t in range(trials):
-            words = HalfWords(substream(seed, grid_idx, 0, t))
-            b, d = _sample_source_and_count(n, words, restrict_promise=True)
-            hits += quantum.majority_vote_count(n, d, reps, words) == b
+            words = reader(stream(seed, grid_idx, 0, t))
+            b, d = sample(n, words, restrict_promise=True)
+            hits += vote(n, d, reps, words) == b
         quantum_mc = combinatorics.MonteCarloEstimate(hits, trials)
         classical_mc = classical.run_subset_trials(
             n, subset_size, trials, _stage_seed(seed, grid_idx), restrict_promise=True

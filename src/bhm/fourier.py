@@ -200,20 +200,28 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """XOR convolution by the defining double sum: the O(4^m) oracle route.
 
     Row w is the dot of f at ``ys ^ w`` with g; the rows are computed
-    :data:`_CONVOLVE_BLOCK` at a time from one gather.
+    :data:`_CONVOLVE_BLOCK` at a time, each block gathered into one buffer
+    that the whole call reuses.
     """
     if f.m != g.m:
         raise DimensionMismatch(f"convolution of dimensions {f.m} and {g.m}")
     if f.m > CONVOLVE_MAX_DIM:
         raise BudgetExceeded(f"direct convolution at m={f.m} exceeds cap {CONVOLVE_MAX_DIM}")
     size = 1 << f.m
+    rows = min(_CONVOLVE_BLOCK, size)
     ys = np.arange(size)
+    # start is a multiple of rows, so row start + i is f at start ^ i ^ ys:
+    # f at ys ^ start, taken at the offsets i ^ ys
+    offsets = ys[:rows, None] ^ ys
+    block = np.empty((rows, size))
     out = np.empty(size)
-    for start in range(0, size, _CONVOLVE_BLOCK):
-        block = f.values[ys[start : start + _CONVOLVE_BLOCK, None] ^ ys]
+    for start in range(0, size, rows):
+        # in-range indices: "clip" gathers straight into block, where
+        # "raise" would buffer a copy of it
+        np.take(f.values[ys ^ start], offsets, out=block, mode="clip")
         # one dot per row, the same ddot as a lone row @ g; a matrix-vector
         # product would sum in another order and change the bits
-        out[start : start + _CONVOLVE_BLOCK] = np.vecdot(block, g.values)
+        np.vecdot(block, g.values, out=out[start : start + rows])
     return CubeFunction(m=f.m, values=out)
 
 

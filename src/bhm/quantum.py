@@ -163,7 +163,10 @@ def majority_vote_count(n: int, d: int, r: int, words: HalfWords) -> int:
     ``rng.integers(0, n, size=r)`` does.
     """
     below = words.below
-    ones = sum(below(n) < d for _ in range(r))
+    ones = 0
+    for _ in range(r):
+        if below(n) < d:
+            ones += 1
     return 1 if 2 * ones > r else 0
 
 

@@ -182,11 +182,17 @@ def substream(seed: int, *path: int) -> Generator:
     last = path[-1]
     # the hash takes the last entry's top 32-bit word last: consecutive
     # values of that word share the hash of everything before it
-    split = max(last.bit_length() - 1, 0) // 32 * 32
-    top = last >> split
-    seeds = _state_block(seed, path[:-1], split, last - (top << split), top // _BLOCK)
+    if last <= _MASK32:
+        # one word, the top word itself: no split
+        block, row = divmod(last, _BLOCK)
+        seeds = _state_block(seed, path[:-1], 0, 0, block)
+    else:
+        split = (last.bit_length() - 1) // 32 * 32
+        top = last >> split
+        block, row = divmod(top, _BLOCK)
+        seeds = _state_block(seed, path[:-1], split, last - (top << split), block)
     generator, pcg64, seed_words = _seeded_generator_types()
-    return generator(pcg64(seed_words(seeds[top % _BLOCK])))
+    return generator(pcg64(seed_words(seeds[row])))
 
 
 class HalfWords:
@@ -210,15 +216,6 @@ class HalfWords:
         self._raw = rng.bit_generator.random_raw
         self._kept: int | None = None
 
-    def _next32(self) -> int:
-        kept = self._kept
-        if kept is None:
-            word = self._raw()
-            self._kept = word >> 32
-            return word & _MASK32
-        self._kept = None
-        return kept
-
     def below(self, n: int) -> int:
         """Uniform on 0..n-1 for 1 <= n < 2**63, by Lemire's method as numpy runs it.
 
@@ -227,20 +224,29 @@ class HalfWords:
         the value is the high bits.  n = 1 draws nothing, and n < 1 is
         refused as numpy refuses it.
         """
-        if n <= 1 << 32:
-            if n <= 1:
-                if n < 1:
-                    raise ValueError(f"high <= 0: no value lies below {n}")
-                return 0
-            draw, bits, mask = self._next32, 32, _MASK32
-        else:
-            draw, bits, mask = self._raw, 64, _MASK64
+        if 1 < n <= 1 << 32:
+            while True:
+                kept = self._kept
+                if kept is None:
+                    word = self._raw()
+                    self._kept = word >> 32
+                    m = (word & _MASK32) * n
+                else:
+                    self._kept = None
+                    m = kept * n
+                # the threshold 2**32 mod n is below n, so low bits >= n accept at once
+                low = m & _MASK32
+                if low >= n or low >= (1 << 32) % n:
+                    return m >> 32
+        if n < 1:
+            raise ValueError(f"high <= 0: no value lies below {n}")
+        if n == 1:
+            return 0
         while True:
-            m = draw() * n
-            # the threshold 2**bits mod n is below n, so low bits >= n accept at once
-            low = m & mask
-            if low >= n or low >= (mask + 1) % n:
-                return m >> bits
+            m = self._raw() * n
+            low = m & _MASK64
+            if low >= n or low >= (1 << 64) % n:
+                return m >> 64
 
     def interval(self, top: int) -> int:
         """Uniform on 0..top, numpy's ``random_interval``: masked rejection.
@@ -250,9 +256,21 @@ class HalfWords:
         if top == 0:
             return 0
         mask = (1 << top.bit_length()) - 1
-        draw = self._next32 if top <= _MASK32 else self._raw
+        if top > _MASK32:
+            while True:
+                value = self._raw() & mask
+                if value <= top:
+                    return value
         while True:
-            value = draw() & mask
+            # the mask has at most 32 bits, so it masks a fresh word's low half
+            kept = self._kept
+            if kept is None:
+                word = self._raw()
+                self._kept = word >> 32
+                value = word & mask
+            else:
+                self._kept = None
+                value = kept & mask
             if value <= top:
                 return value
 

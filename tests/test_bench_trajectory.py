@@ -75,6 +75,20 @@ def test_reads_the_exact_and_verify_pairs_of_bench_34():
     assert [cells[s]["final"]["metrics"]["classical.exact.cells"]["value"] for s in cells] == [384, 384]
 
 
+def test_reads_the_sweep_pairs_of_bench_35():
+    # a gain claimed on sweep: ten pairs there, one pair on each other workload
+    record = json.loads((ROOT / "BENCH_35.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    assert {w: (rows[w].pairs, rows[w].change_wins) for w in rows} == {
+        "sweep": (10, 10), "verify": (1, 1), "instances": (1, 1), "exact": (1, 0)
+    }
+    assert (round(rows["sweep"].parent_median, 3), round(rows["sweep"].change_median, 3)) == (0.46, 0.423)
+    assert record["claim"].startswith("Gain claimed on sweep wall_s")
+    # the trace gates: one fresh substream per trial on both sides
+    traced = record["traced"]["sweep"]
+    assert [traced[s]["final"]["metrics"]["seeding.substream.calls"]["value"] for s in traced] == [40000, 40000]
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

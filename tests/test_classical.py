@@ -463,8 +463,12 @@ def test_large_subset_beats_small_subset():
 
 
 def subset_grid():
-    """(n, c): subset sizes 0, 1, 5, 11 and 2n where they fit, and c = 40 at n = 30."""
-    for n in (1, 2, 5, 16, 64):
+    """(n, c): subset sizes 0, 1, 5, 11 and 2n where they fit, and c = 40 at n = 30.
+
+    From n = 256, the benchmark's sizes, numpy's binomial runs BTPE, which
+    draws a varying number of doubles between the half-word reads.
+    """
+    for n in (1, 2, 5, 16, 64, 256, 512):
         for c in sorted({0, 1, 5, 11, 2 * n}):
             if c <= 2 * n:
                 yield n, c

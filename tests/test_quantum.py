@@ -373,7 +373,8 @@ def test_majority_vote_count_is_the_vote_on_sorted_bits():
 
 
 @pytest.mark.parametrize("promise", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+# from n = 256 numpy's binomial runs BTPE, a varying number of doubles per draw
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256, 512])
 def test_vote_trial_kernels_equal_the_numpy_trial_oracle(n, promise):
     for r in (1, 3, 9):
         for t in range(40):

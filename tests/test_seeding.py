@@ -23,7 +23,8 @@ def numpy_stream(seed, *path):
     "seed", [0, 2**32 - 1, 2**32, 2**63 - 1, _stage_seed(7, 1), 2**64 + 5]
 )
 @pytest.mark.parametrize("head", [(), (3,), (0, 2), (1, 0, 2**32 + 9)])
-@pytest.mark.parametrize("last", [0, BLOCK - 1, BLOCK, BLOCK + 1, 10**6])
+# 2**32 - 1 is the largest last entry of one word, whose block is the last one
+@pytest.mark.parametrize("last", [0, BLOCK - 1, BLOCK, BLOCK + 1, 10**6, 2**32 - 1])
 def test_substream_equals_the_seed_sequence_route(seed, head, last):
     path = head + (last,)
     ours, theirs = substream(seed, *path), numpy_stream(seed, *path)
@@ -32,7 +33,9 @@ def test_substream_equals_the_seed_sequence_route(seed, head, last):
     assert np.array_equal(ours.random(4), theirs.random(4))
 
 
-@pytest.mark.parametrize("path", [(2**32,), (2**32 + 5,), (4, 2**40 + BLOCK), (2**70, 3)])
+@pytest.mark.parametrize(
+    "path", [(2**32,), (2**32 + 5,), (4, 2**40 + BLOCK), (2**70, 3), (2**64,), (5, 2**64 + BLOCK + 1)]
+)
 def test_substream_equals_the_seed_sequence_route_for_multiword_entries(path):
     ours, theirs = substream(99, *path), numpy_stream(99, *path)
     assert ours.bit_generator.state == theirs.bit_generator.state
