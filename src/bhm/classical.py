@@ -37,11 +37,11 @@ from .instances import (  # noqa: F401
 from .quantum import majority_success
 from .seeding import HYPERGEOM_MAX, HalfWords, substream
 
-#: Work cap for the exact enumeration: the source gap has 2^2n * matchings * 2^n entries.
-ENUMERATION_BUDGET = 100_000
+#: Work cap for :func:`bayes_success`: (2n-1)!! 4^n (message classes + 1) entries visited.
+ENUMERATION_BUDGET = 10**9
 
-#: Largest n whose budget refusals print their counts in full: 2^3n (2n-1)!!
-#: has over 4,300 digits from n = 1130 on, which Python refuses to print.
+#: Largest n whose budget refusals print their counts in full: (2n-1)!! 4^n (4^n + 1)
+#: has over 4,300 digits from n = 1051 on, which Python refuses to print.
 _FULL_COUNT_MAX_N = 1000
 
 #: Cap on the number of Alice maps the brute force will enumerate.
@@ -226,41 +226,29 @@ def run_subset_trials(
 # exact enumeration
 
 
-def _check_enumeration_budget(n: int) -> None:
-    """Refuse an exact enumeration at n over :data:`ENUMERATION_BUDGET`, building nothing."""
+def _check_enumeration_budget(n: int, c: int) -> None:
+    """Refuse :func:`bayes_success` of a c-bit map at n over :data:`ENUMERATION_BUDGET`."""
     if n > _FULL_COUNT_MAX_N:
-        raise BudgetExceeded(
-            f"exact enumeration needs over 2^{3 * n} tuple visits, budget is {ENUMERATION_BUDGET}"
-        )
-    work = (1 << (2 * n)) * count_matchings(2 * n) * (1 << n)
-    if work > ENUMERATION_BUDGET:
+        work = f"over 2^{3 * n}"  # below the count, which is too long to print
+    else:
+        work = count_matchings(2 * n) * (1 << (2 * n)) * ((1 << min(c, 2 * n)) + 1)
+    if n > _FULL_COUNT_MAX_N or work > ENUMERATION_BUDGET:
         raise BudgetExceeded(
             f"exact enumeration needs {work} tuple visits, budget is {ENUMERATION_BUDGET}"
         )
 
 
-def _gap_matrix(n: int) -> tuple[np.ndarray, int]:
-    """The mixture's exact source gap, one row per observation, scaled to integers.
+def _gap_table(n: int) -> tuple[np.ndarray, int]:
+    """The source gap gap[w, z] = q^n (mu_0 - mu_1)(w xor z) in int64, and scale = q^n.
 
-    Returns (gap, denom): gap[(matching, w), x] = q^n (mu_0 - mu_1)(w xor Mx)
-    in int64, q^n the scale of :func:`_noise_weights`, matchings in
-    :func:`enumerate_matchings` order, and the cell (x, matching, b, w) has
-    mixture probability q^n mu_b(w xor Mx) / denom.  Every row sums to 0,
-    as Mx is uniform when x is, and the whole mass is denom; since the best
-    Bob wins max(m0, m1) = (m0 + m1 + |m0 - m1|) / 2, an Alice map with
-    message classes A succeeds with exactly (denom + sum_A |gap 1_A|_1) /
-    (2 denom).  :data:`ENUMERATION_BUDGET` is checked first.
+    The cell (x, matching, b, w) has mass q^n mu_b(w xor Mx) of 2 (2n-1)!! 4^n q^n.
     """
-    _check_enumeration_budget(n)
     weights, scale = _noise_weights(n)
     by_weight = np.array(weights, dtype=np.int64)
     # mu_1 is mu_0 at the complemented pattern, so its weights run backwards
     table = _weight_table(by_weight - by_weight[::-1], n)
-    images = np.stack(
-        [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)]
-    )  # [matching, x]
-    gap = table[images[:, None, :] ^ np.arange(1 << n)[:, None]]  # [matching, w, x]
-    return gap.reshape(-1, images.shape[1]), 2 * images.size * scale
+    ws = np.arange(1 << n)
+    return table[ws[:, None] ^ ws], scale
 
 
 def alice_constant(n: int) -> np.ndarray:
@@ -300,28 +288,33 @@ def alice_difference(n: int) -> np.ndarray:
 def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction:
     """Exact success of the best Bob for a fixed Alice map.
 
-    ``alice`` assigns a message in [0, 2^c) to every x index.  The optimal
-    Bob guesses the source with the larger mass on each observable
-    (message, matching, w); one integer product of :func:`_gap_matrix`
-    with the message classes gives it as an exact rational.  The budget
-    is checked before the map is read, so no 4^n count is ever printed.
+    ``alice`` assigns a message in [0, 2^c) to every x index.  Bob wins
+    max(m0, m1) = (m0 + m1 + |m0 - m1|) / 2 on each (message, matching, w),
+    so the map scores (denom + sum_M |gap hist_M^T|_1) / (2 denom), with gap
+    from :func:`_gap_table` and hist_M[A, z] the x of class A with Mx = z.
+    The budget is checked before the map is read: no 4^n count is printed.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if c < 0:
         raise ValueError(f"message bits c must be nonnegative, got {c}")
-    gap, denom = _gap_matrix(n)
+    _check_enumeration_budget(n, c)
     alice_map = np.asarray(alice)
     if alice_map.dtype.kind not in "iu":
         raise ValueError("alice map values must be integers")
-    alice_map = alice_map.astype(np.int64, copy=False)
     if alice_map.shape != (1 << (2 * n),):
         raise ValueError(f"alice map must have length {1 << (2 * n)}")
     if alice_map.min() < 0 or alice_map.max() >= (1 << c):
         raise ValueError(f"alice map values must lie in [0, {1 << c})")
-    # one-hot message matrix: one row per message value Alice sends
-    classes = (alice_map == np.unique(alice_map)[:, None]).astype(np.int64)
-    return Fraction(denom + int(np.abs(gap @ classes.T).sum()), 2 * denom)
+    gap, scale = _gap_table(n)
+    messages, cls = np.unique(alice_map, return_inverse=True)
+    total = 0
+    for pairs in enumerate_matchings(2 * n):
+        images = matching_image_table(PerfectMatching(pairs))
+        hist = np.bincount(cls * len(gap) + images, minlength=messages.size * len(gap))
+        total += int(np.abs(gap @ hist.reshape(-1, len(gap)).T).sum())
+    denom = 2 * count_matchings(2 * n) * alice_map.size * scale
+    return Fraction(denom + total, 2 * denom)
 
 
 def bruteforce_optimal(n: int, c: int) -> SuccessReport:
@@ -336,9 +329,8 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
     if n < 1 or c < 0:
         raise ValueError("need n >= 1 and c >= 0")
     if c == 0 or c >= 2 * n - 1 or n > _FULL_COUNT_MAX_N:
-        # before the 4^n-entry message map below is built, or a map count
-        # too long to print
-        _check_enumeration_budget(n)
+        # before the 4^n-entry map below is built, or a map count too long to print
+        _check_enumeration_budget(n, min(c, 2 * n - 1))
     num_x = 1 << (2 * n)
     if c == 0:
         value = bayes_success(alice_constant(n), n, 0)
@@ -355,9 +347,7 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
         value = bayes_success(alice_difference(n), n, 2 * n - 1)
         witness = {"map": "identity" if c >= 2 * n else "difference"}
     else:
-        raise BudgetExceeded(
-            f"enumerating 2^{c * num_x} maps for c={c} exceeds any budget"
-        )
+        raise BudgetExceeded(f"enumerating 2^{c * num_x} maps for c={c} exceeds any budget")
     return SuccessReport(
         protocol=f"bruteforce-c{c}", message_bits=c, success_exact=value, witness=witness
     )
@@ -380,7 +370,10 @@ def _bruteforce_one_bit(n: int) -> tuple[Fraction, np.ndarray]:
     i of j.  That orders the maps as their full bits do, so the first
     argmax is the first optimal complement-closed map in that order.
     """
-    gap, denom = _gap_matrix(n)
+    table, scale = _gap_table(n)
+    images = np.array([matching_image_table(PerfectMatching(e)) for e in enumerate_matchings(2 * n)])
+    gap = table[:, images].reshape(-1, images.shape[1])  # column x: :func:`_gap_table` at Mx
+    denom = 2 * images.size * scale
     half = gap.shape[1] // 2
     twice = _one_bit_twice_winning_mass(2 * gap[:, half:-1], denom)
     best = int(np.argmax(twice))
@@ -391,9 +384,9 @@ def _bruteforce_one_bit(n: int) -> tuple[Fraction, np.ndarray]:
 def _one_bit_twice_winning_mass(columns: np.ndarray, denom: int) -> np.ndarray:
     """Twice the best Bob's winning mass of every one-bit map j, as int64.
 
-    Map j sends the ``columns`` of :func:`_gap_matrix` at its set bits to
-    message 1 and every other column to message 0.  The gap's rows sum
-    to 0, so twice a map's winning mass is denom + 2 sum |gap_1|, and
+    Map j sends the gap ``columns`` (:func:`_bruteforce_one_bit`) at its set
+    bits to message 1 and every other column to message 0.  The gap's rows
+    sum to 0, so twice a map's winning mass is denom + 2 sum |gap_1|, and
     the class-1 gaps of all maps are the subset sums of ``columns``.
     """
     gap1 = np.zeros((columns.shape[0], 1 << columns.shape[1]), dtype=np.int64)

@@ -16,6 +16,7 @@ why the checks in this module verify the factors explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -196,6 +197,13 @@ def inverse_transform(spectrum: FourierSpectrum) -> CubeFunction:
     return CubeFunction._adopt(spectrum.m, _fwht(spectrum.coefficients))
 
 
+@functools.lru_cache(maxsize=1)
+def _convolve_offsets(m: int) -> np.ndarray:
+    """The offsets ``ys[:64, None] ^ ys`` of :func:`convolve` on {0,1}^m; row 0 is ys."""
+    # shared and never written, yet writeable: np.take copies a read-only index array
+    return np.arange(min(_CONVOLVE_BLOCK, 1 << m))[:, None] ^ np.arange(1 << m)
+
+
 def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """XOR convolution by the defining double sum: the O(4^m) oracle route.
 
@@ -207,18 +215,16 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
         raise DimensionMismatch(f"convolution of dimensions {f.m} and {g.m}")
     if f.m > CONVOLVE_MAX_DIM:
         raise BudgetExceeded(f"direct convolution at m={f.m} exceeds cap {CONVOLVE_MAX_DIM}")
-    size = 1 << f.m
-    rows = min(_CONVOLVE_BLOCK, size)
-    ys = np.arange(size)
+    offsets = _convolve_offsets(f.m)
+    rows, size = offsets.shape
     # start is a multiple of rows, so row start + i is f at start ^ i ^ ys:
     # f at ys ^ start, taken at the offsets i ^ ys
-    offsets = ys[:rows, None] ^ ys
     block = np.empty((rows, size))
     out = np.empty(size)
     for start in range(0, size, rows):
         # in-range indices: "clip" gathers straight into block, where
         # "raise" would buffer a copy of it
-        np.take(f.values[ys ^ start], offsets, out=block, mode="clip")
+        np.take(f.values[offsets[0] ^ start], offsets, out=block, mode="clip")
         # one dot per row, the same ddot as a lone row @ g; a matrix-vector
         # product would sum in another order and change the bits
         np.vecdot(block, g.values, out=out[start : start + rows])

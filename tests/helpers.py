@@ -266,6 +266,33 @@ def joint_mass_oracle(n: int) -> np.ndarray:
     return np.moveaxis(mu[:, noise], 0, 2)
 
 
+def gap_matrix_oracle(n: int) -> tuple[np.ndarray, int]:
+    """The mixture's source gap as one (matching·w) × 4^n matrix; an oracle only.
+
+    Returns (gap, denom): gap[(matching, w), x] = q^n (mu_0 - mu_1)(w xor Mx)
+    in int64, rows matching major in ``enumerate_matchings`` order, and
+    denom the whole integer mass 2 (2n-1)!! 4^n q^n.  It repeats one
+    2^n × 2^n table once per matching and w; ``classical.bayes_success``
+    reads that table through per-matching histograms instead, and is held
+    equal to ``gap @ classes.T`` here.
+    """
+    weights, scale = _noise_weights(n)
+    by_weight = np.array(weights, dtype=np.int64)
+    table = (by_weight - by_weight[::-1])[np.bitwise_count(np.arange(1 << n))]
+    images = np.stack(
+        [matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)]
+    )  # [matching, x]
+    gap = table[images[:, None, :] ^ np.arange(1 << n)[:, None]]  # [matching, w, x]
+    return gap.reshape(-1, images.shape[1]), 2 * images.size * scale
+
+
+def gap_product_oracle(alice: np.ndarray, n: int) -> Fraction:
+    """Bayes success of an Alice map as one product of the gap matrix with one-hot classes."""
+    gap, denom = gap_matrix_oracle(n)
+    classes = (alice == np.unique(alice)[:, None]).astype(np.int64)
+    return Fraction(denom + int(np.abs(gap @ classes.T).sum()), 2 * denom)
+
+
 def winning_mass_oracle(joint: np.ndarray) -> np.ndarray:
     """The best Bob's winning mass, one total per message class.
 

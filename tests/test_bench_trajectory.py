@@ -89,6 +89,19 @@ def test_reads_the_sweep_pairs_of_bench_35():
     assert [traced[s]["final"]["metrics"]["seeding.substream.calls"]["value"] for s in traced] == [40000, 40000]
 
 
+def test_reads_the_exact_and_verify_pairs_of_bench_36():
+    # a simplicity change: ten pairs on exact and verify, one on sweep and instances
+    record = json.loads((ROOT / "BENCH_36.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    assert {w: (rows[w].pairs, rows[w].change_wins) for w in rows} == {
+        "exact": (10, 6), "verify": (10, 7), "sweep": (1, 1), "instances": (1, 1)
+    }
+    assert record["claim"].startswith("No gain claimed")
+    # the trace gate: two one-bit scans at n = 2, counted by n alone
+    cells = record["traced"]["exact"]
+    assert [cells[s]["final"]["metrics"]["classical.exact.cells"]["value"] for s in cells] == [384, 384]
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

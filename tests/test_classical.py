@@ -11,7 +11,7 @@ import pytest
 from bhm import classical
 from bhm.classical import (
     _bruteforce_one_bit,
-    _gap_matrix,
+    _gap_table,
     _known_edge_law,
     _one_bit_twice_winning_mass,
     alice_constant,
@@ -26,7 +26,8 @@ from bhm.classical import (
     subset_mixture_success,
     subset_trial_outcomes,
 )
-from bhm.core import BitString
+from bhm.combinatorics import enumerate_matchings
+from bhm.core import BitString, PerfectMatching
 from bhm.errors import BudgetExceeded
 from bhm.seeding import substream
 
@@ -35,6 +36,8 @@ from helpers import (
     bayes_oracle,
     bruteforce_one_bit_oracle,
     expected_internal_edges,
+    gap_matrix_oracle,
+    gap_product_oracle,
     joint_mass_oracle,
     mixture_average,
     mixture_cells,
@@ -249,6 +252,8 @@ def test_bayes_success_exact_values():
     assert bayes_success(alice_parity(n), n, 1) == Fraction(1, 2)
     assert bayes_success(alice_identity(n), n, 4) == Fraction(3, 4)
     assert bayes_success(alice_dictator(n, 1), n, 1) == Fraction(1, 2)
+    # the budget counts the classes a map can have, at most 4^n, not 2^c
+    assert bayes_success(alice_identity(n), n, 100) == Fraction(3, 4)
 
 
 def test_alice_parity_is_the_weight_parity_of_x():
@@ -278,7 +283,8 @@ def test_bayes_success_equals_first_principles_oracle():
 
 
 def test_bayes_success_at_n3_equals_both_oracles():
-    # n = 3 is the largest n under ENUMERATION_BUDGET
+    # n = 3 is the largest n whose mixture cells the oracles list quickly
+    # (15,360 cells; n = 4 has 860,160); ENUMERATION_BUDGET admits n up to 6
     n = 3
     cells = mixture_cells(n)
     mass = joint_mass_oracle(n)
@@ -292,10 +298,39 @@ def test_bayes_success_at_n3_equals_both_oracles():
         assert value == Fraction(int(winning_mass_oracle(joint).sum()), int(mass.sum()))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bayes_success_equals_the_gap_matrix_product(n):
+    maps = [
+        (alice_constant(n), 0),
+        (alice_parity(n), 1),
+        (alice_identity(n), 2 * n),
+        (alice_difference(n), 2 * n - 1),
+        (alice_dictator(n, 1), 1),
+        (alice_dictator(n, 2 * n), 1),
+    ]
+    maps += [(substream(636, n, c).integers(0, 1 << c, size=1 << (2 * n)), c) for c in (1, 3)]
+    for amap, c in maps:
+        assert bayes_success(amap, n, c) == gap_product_oracle(amap, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gap_table_columns_are_the_gap_matrix_rows(n):
+    table, scale = _gap_table(n)
+    assert table.dtype == np.int64 and table.shape == (1 << n, 1 << n)
+    gap, denom = gap_matrix_oracle(n)
+    assert denom == 2 * gap.size // (1 << n) * scale
+    images = np.stack(
+        [classical.matching_image_table(PerfectMatching(p)) for p in enumerate_matchings(2 * n)]
+    )
+    # the one-bit scan's columns: the oracle's (matching, w) rows, in w-major order
+    rows = table[:, images].reshape(-1, gap.shape[1])
+    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, gap.tolist()))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gap_matrix_is_the_source_gap_of_the_joint_mass(n):
     mass = joint_mass_oracle(n)
-    gap, denom = _gap_matrix(n)
+    gap, denom = gap_matrix_oracle(n)
     assert gap.dtype == np.int64
     # rows (matching, w), matching major; columns x
     expected = (mass[:, :, 0, :] - mass[:, :, 1, :]).reshape(mass.shape[0], -1).T
@@ -322,7 +357,7 @@ def test_bruteforce_is_the_best_one_bit_map_under_the_oracle():
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_bit_scores_equal_the_tensordot_oracle(n):
     score = bruteforce_one_bit_oracle(n)
-    gap, denom = _gap_matrix(n)
+    gap, denom = gap_matrix_oracle(n)
     half = gap.shape[1] // 2
     # the merged scan: upper-half x = half + i and its complement in class 1 at bit i of j
     twice = _one_bit_twice_winning_mass(2 * gap[:, half:-1], denom)
@@ -377,7 +412,7 @@ def test_bayes_success_refinement_dominates():
 
 def test_bayes_success_validation_and_budget():
     with pytest.raises(BudgetExceeded):
-        bayes_success(alice_constant(4), 4, 0)
+        bayes_success(alice_constant(7), 7, 0)
     with pytest.raises(ValueError):
         bayes_success(np.zeros(8, dtype=int), 2, 0)
     with pytest.raises(ValueError):
@@ -394,7 +429,7 @@ def test_bayes_success_validation_and_budget():
         bayes_success([0.5] * 16, 2, 1)
     # the budget is checked before the map, so no 4^n count is built or printed
     for n in (1001, 10000):
-        message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 100000"
+        message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 1000000000"
         with pytest.raises(BudgetExceeded, match=re.escape(message)):
             bayes_success(np.zeros(4, dtype=np.int64), n, 1)
 
@@ -438,7 +473,7 @@ def test_bruteforce_edge_cases_and_budgets():
         bruteforce_optimal(3, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_difference_map_is_the_subset_protocol_on_one_more_position(n):
     # its low c bits reveal every parity inside positions 1..c + 1
     for c in range(1, 2 * n):
@@ -446,10 +481,14 @@ def test_difference_map_is_the_subset_protocol_on_one_more_position(n):
         assert bayes_success(low, n, c) == subset_mixture_success(n, c + 1, False)
 
 
-@pytest.mark.parametrize("n, value", [(2, Fraction(3, 4)), (3, Fraction(27, 32))])
+@pytest.mark.parametrize(
+    "n, value",
+    [(2, Fraction(3, 4)), (3, Fraction(27, 32)), (4, Fraction(27, 32)), (5, Fraction(459, 512))],
+)
 def test_bruteforce_at_2n_minus_1_bits_is_the_identity_value(n, value):
     report = bruteforce_optimal(n, 2 * n - 1)
     assert report.success_exact == bayes_success(alice_identity(n), n, 2 * n) == value
+    assert value == subset_mixture_success(n, 2 * n, False)
     assert report.witness == {"map": "difference"}
 
 

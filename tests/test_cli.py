@@ -120,6 +120,20 @@ def test_bruteforce_answers_2n_minus_1_bits_with_the_difference_map(tmp_path):
     assert record["witness"] == {"map": "difference"}
 
 
+@pytest.mark.parametrize(
+    "n, bits, value", [(4, 0, "1/2"), (4, 7, "27/32"), (5, 9, "459/512")]
+)
+def test_bruteforce_answers_the_cells_under_the_enumeration_budget(tmp_path, n, bits, value):
+    out = tmp_path / "b.json"
+    assert run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)]) == 0
+    (record,) = read_json_lines(out)
+    assert record["success_exact"] == value
+    if bits:
+        assert record["witness"] == {"map": "difference"}
+    else:
+        assert record["witness"]["message_0"][-1] == "1" * (2 * n)
+
+
 @pytest.mark.parametrize("n", [3, 10, 40, 1000])
 def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
     out = tmp_path / "b.json"
@@ -131,15 +145,19 @@ def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize(
-    "n, bits", [(4, 0), (4, 7), (4, 8), (40, 0), (40, 79), (40, 80), (1000, 0)]
+    "n, bits", [(6, 11), (6, 12), (7, 0), (40, 0), (40, 79), (40, 80), (1000, 0)]
 )
 def test_bruteforce_refuses_exact_enumeration_over_budget(tmp_path, capsys, n, bits):
-    # checked before the 4^n-entry constant or difference message map is built
+    # checked before the 4^n-entry constant or difference message map is built;
+    # the count is one pass over x per matching and one product per message class
     out = tmp_path / "b.json"
     code = run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)])
     assert code == cli.EXIT_BUDGET
-    work = 4**n * math.prod(range(1, 2 * n, 2)) * 2**n
-    message = f"budget exceeded: exact enumeration needs {work} tuple visits, budget is 100000\n"
+    classes = 2 ** min(bits, 2 * n - 1)
+    work = math.prod(range(1, 2 * n, 2)) * 4**n * (classes + 1)
+    message = (
+        f"budget exceeded: exact enumeration needs {work} tuple visits, budget is 1000000000\n"
+    )
     assert capsys.readouterr().err == message
     assert not out.exists()
 
@@ -153,7 +171,7 @@ def test_bruteforce_refuses_counts_past_the_digit_limit_as_over_budget(tmp_path,
     out = tmp_path / "b.json"
     code = run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)])
     assert code == cli.EXIT_BUDGET
-    message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 100000"
+    message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 1000000000"
     assert capsys.readouterr().err == f"budget exceeded: {message}\n"
     assert not out.exists()
 

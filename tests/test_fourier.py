@@ -199,6 +199,20 @@ def test_convolve_is_byte_equal_to_the_rowwise_oracle(m):
         assert convolve(f, g).values.tobytes() == convolve_rowwise_oracle(f, g).tobytes()
 
 
+def test_convolve_reuses_one_offset_table_per_m():
+    fourier._convolve_offsets.cache_clear()
+    # a change of m replaces the cached table; the same m reuses it
+    for m in (3, 3, 8, 3):
+        f, g = verify._random_pair(m, 6, 0)
+        assert convolve(f, g).values.tobytes() == convolve_rowwise_oracle(f, g).tobytes()
+    info = fourier._convolve_offsets.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+    # one table, left as built by the calls that read it
+    offsets = fourier._convolve_offsets(3)
+    assert offsets is fourier._convolve_offsets(3)
+    assert np.array_equal(offsets, np.arange(8)[:, None] ^ np.arange(8))
+
+
 def test_convolution_wrong_scale_is_detected():
     rng = substream(405, 0)
     f, g = random_table(4, rng), random_table(4, rng)
