@@ -304,8 +304,9 @@ def bayes_success(alice: Sequence[int] | np.ndarray, n: int, c: int) -> Fraction
         raise ValueError("alice map values must be integers")
     if alice_map.shape != (1 << (2 * n),):
         raise ValueError(f"alice map must have length {1 << (2 * n)}")
-    if alice_map.min() < 0 or alice_map.max() >= (1 << c):
-        raise ValueError(f"alice map values must lie in [0, {1 << c})")
+    # compare bit lengths: no 2^c is built, and c may pass the digit limit
+    if alice_map.min() < 0 or int(alice_map.max()).bit_length() > c:
+        raise ValueError(f"alice map values must lie in [0, 2^{c})")
     gap, scale = _gap_table(n)
     messages, cls = np.unique(alice_map, return_inverse=True)
     total = 0

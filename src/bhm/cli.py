@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,28 +54,46 @@ def _format_value(value: Any) -> str:
 
 
 def emit(
-    rows: list[dict[str, Any]],
+    rows: Iterable[dict[str, Any]],
     fieldnames: Sequence[str],
     fmt: str,
     path: str | None,
 ) -> None:
-    """Write rows as CSV (with header) or JSON lines, to a file or stdout."""
+    """Write rows as CSV (with header) or JSON lines, to a file or stdout.
+
+    Each row's line is written as ``rows`` yields it, so a generator of
+    rows is never held whole.  ``path`` is opened before the first row is
+    drawn: an unwritable path is refused before any work.  If ``rows``
+    raises, or a write fails, the partial file is removed before the
+    exception propagates; on stdout the lines already written stay.
+    """
     if fmt == "csv":
-        lines = [",".join(fieldnames)]
-        lines += [",".join(_format_value(row[k]) for k in fieldnames) for row in rows]
+        header = ",".join(fieldnames) + "\n"
+        lines = (",".join(_format_value(row[k]) for k in fieldnames) + "\n" for row in rows)
     elif fmt == "json":
-        lines = [json.dumps(row, sort_keys=True) for row in rows]
+        header = ""
+        lines = (json.dumps(row, sort_keys=True) + "\n" for row in rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    text = "".join(line + "\n" for line in lines)
     if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
+        sys.stdout.write(header)
+        sys.stdout.writelines(lines)
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    try:
+        with handle:
+            handle.write(header)
+            handle.writelines(lines)
+    except BaseException as exc:
+        # a device such as /dev/null is left in place; only a file is removed
+        if os.path.isfile(path):
+            os.remove(path)
+        if isinstance(exc, OSError):
             raise OSError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +176,31 @@ def _stage_seed(seed: int, stage: int) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    rows = []
-    for i in range(args.count):
-        inst = sample_T(args.n, substream(args.seed, i))
-        record = inst.to_json_dict()
-        record["seed"] = args.seed
-        record["trial"] = i
-        rows.append(record)
-    emit(rows, [], "json", args.out)
+    def records() -> Iterator[dict[str, Any]]:
+        for i in range(args.count):
+            record = sample_T(args.n, substream(args.seed, i)).to_json_dict()
+            record["seed"] = args.seed
+            record["trial"] = i
+            yield record
+
+    emit(records(), [], "json", args.out)
     return EXIT_OK
 
 
+#: quantum-run's columns, in CSV order
+_QUANTUM_RUN_FIELDS = ("trial", "n", "r", "d", "source", "guess", "correct", "qubit_cost", "seed")
+
+
 def _cmd_quantum_run(args: argparse.Namespace) -> int:
-    rows = []
-    for t in range(args.trials):
-        rng = substream(args.seed, t)
-        inst = sample_T(args.n, rng)
-        disagree = quantum.disagreement_bits(inst)
-        guess = int(quantum.majority_votes(disagree, args.reps, 1, rng)[0])
-        rows.append(
-            {
+    qubit_cost = args.reps * quantum.message_qubits(args.n)
+
+    def rows() -> Iterator[dict[str, Any]]:
+        for t in range(args.trials):
+            rng = substream(args.seed, t)
+            inst = sample_T(args.n, rng)
+            disagree = quantum.disagreement_bits(inst)
+            guess = int(quantum.majority_votes(disagree, args.reps, 1, rng)[0])
+            yield {
                 "trial": t,
                 "n": args.n,
                 "r": args.reps,
@@ -184,11 +208,11 @@ def _cmd_quantum_run(args: argparse.Namespace) -> int:
                 "source": inst.source,
                 "guess": guess,
                 "correct": int(guess == inst.source),
-                "qubit_cost": args.reps * quantum.message_qubits(args.n),
+                "qubit_cost": qubit_cost,
                 "seed": args.seed,
             }
-        )
-    emit(rows, list(rows[0]), args.format, args.out)
+
+    emit(rows(), _QUANTUM_RUN_FIELDS, args.format, args.out)
     return EXIT_OK
 
 

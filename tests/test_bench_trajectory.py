@@ -102,6 +102,22 @@ def test_reads_the_exact_and_verify_pairs_of_bench_36():
     assert [cells[s]["final"]["metrics"]["classical.exact.cells"]["value"] for s in cells] == [384, 384]
 
 
+def test_reads_the_instances_pairs_of_bench_37():
+    # a memory gain claimed on instances: ten pairs there, the other workloads alongside
+    record = json.loads((ROOT / "BENCH_37.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    assert {w: rows[w].pairs for w in rows} == {"instances": 10, "sweep": 4, "verify": 1, "exact": 1}
+    row = rows["instances"]
+    assert row.gate_wins["peak_rss_mb"] == (10, 10)
+    assert round(row.gate_ratios["peak_rss_mb"], 3) == 0.828
+    assert record["claim"].startswith("Gain claimed on instances peak_rss_mb")
+    # the trace gates and the emitted bytes are the same on both sides
+    traced = {s: record["traced"]["instances"][s]["final"]["metrics"] for s in ("parent", "change")}
+    for name in ("seeding.substream.calls", "instances.objects.calls"):
+        assert [traced[s][name]["value"] for s in traced] == [1500, 1500]
+    assert traced["parent"]["cli.emit.bytes"] == traced["change"]["cli.emit.bytes"]
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(
@@ -128,6 +144,8 @@ def test_gate_metric_ratios_agree_with_the_summary_of_bench_19():
         for metric in bench_trajectory.GATE_METRICS:
             ratio = rows[workload].gate_ratios[metric]
             assert round(ratio, 4) == summary[metric]["change_over_parent"], (workload, metric)
+            wins = (summary[metric]["change_wins"], summary[metric]["pairs"])
+            assert rows[workload].gate_wins[metric] == wins, (workload, metric)
 
 
 def test_gate_metric_ratios_skip_pairs_missing_a_side(tmp_path, capsys):
@@ -144,8 +162,12 @@ def test_gate_metric_ratios_skip_pairs_missing_a_side(tmp_path, capsys):
     row = bench_trajectory.summarize(json.loads((tmp_path / "BENCH_1.json").read_text()))["sweep"]
     # setup_s: pairs 1 and 3, medians 0.2 -> 0.2; rss: all three, 40 -> 44; rate: pair 1 only
     assert row.gate_ratios == {"setup_s": 1.0, "peak_rss_mb": 1.1, "trials_per_s": 2.0}
+    # wins: lower setup and rss, higher rate; the rss tie counts for neither side
+    assert row.gate_wins == {"setup_s": (1, 2), "peak_rss_mb": (0, 3), "trials_per_s": (1, 1)}
     assert bench_trajectory.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split()[-3:] == ["1.000", "1.100", "2.000"]
+    assert capsys.readouterr().out.splitlines()[1].split()[-6:] == [
+        "1.000", "(1/2)", "1.100", "(0/3)", "2.000", "(1/1)"
+    ]
 
 
 def test_rejects_extra_arguments(capsys):

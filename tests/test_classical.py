@@ -434,6 +434,17 @@ def test_bayes_success_validation_and_budget():
             bayes_success(np.zeros(4, dtype=np.int64), n, 1)
 
 
+@pytest.mark.parametrize("c", [4, 20000, 10**8])
+def test_bayes_success_states_the_map_range_as_a_power_of_two(c):
+    # the range check compares bit lengths, so no 2^c is built or printed, and
+    # a c past the digit limit refuses with the same text
+    with pytest.raises(ValueError, match=re.escape(f"alice map values must lie in [0, 2^{c})")):
+        bayes_success(np.full(16, -1), 2, c)
+    with pytest.raises(ValueError, match=re.escape("alice map values must lie in [0, 2^1)")):
+        bayes_success(np.full(16, 2), 2, 1)
+    assert bayes_success(alice_identity(2), 2, c) == Fraction(3, 4)
+
+
 def test_bruteforce_optimal_matches_fixture():
     report = bruteforce_optimal(2, 1)
     assert report.success_exact == FROZEN_OPTIMUM

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -753,12 +755,107 @@ def test_emit_empty_rows_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     cli.emit([], ["a", "b"], "csv", str(out))
     assert out.read_text() == "a,b\n"
+    # an empty generator, as gen and quantum-run pass, writes the same header
+    cli.emit(iter(()), ["a", "b"], "csv", str(out))
+    assert out.read_text() == "a,b\n"
 
 
 def test_emit_float_formatting(capsys):
     cli.emit([{"v": 1 / 3}], ["v"], "csv", None)
     captured = capsys.readouterr().out
     assert captured == "v\n0.33333333333333331\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_writes_a_generator_as_it_writes_the_list(tmp_path, capsys, fmt):
+    rows = [{"a": i, "b": i / 3} for i in range(5)]
+    listed, streamed = tmp_path / "list", tmp_path / "streamed"
+    cli.emit(rows, ["a", "b"], fmt, str(listed))
+    cli.emit((row for row in rows), ["a", "b"], fmt, str(streamed))
+    assert streamed.read_bytes() == listed.read_bytes()
+    cli.emit((row for row in rows), ["a", "b"], fmt, None)
+    assert capsys.readouterr().out == listed.read_text()
+
+
+def _peak_bytes(argv):
+    """Traced peak of one run above the memory held before it."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    assert run_cli(argv) == cli.EXIT_OK
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize(
+    "command", [["gen", "--n", "64", "--count"], ["quantum-run", "--n", "64", "--trials"]]
+)
+def test_memory_does_not_grow_with_the_row_count(tmp_path, command):
+    # rows are written as they are drawn; what still grows is seeding's cache
+    # of seed-word blocks, at most 4 blocks of 32 KB
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        run_cli(command + ["200", "--seed", "5", "--out", str(out)])  # fills the caches
+        small = _peak_bytes(command + ["200", "--seed", "5", "--out", str(out)])
+        large = _peak_bytes(command + ["2000", "--seed", "5", "--out", str(out)])
+    finally:
+        tracemalloc.stop()
+    assert large - small < 256 * 1024
+
+
+def _failing_third_draw(monkeypatch):
+    calls = []
+
+    def draw(n, rng):
+        calls.append(n)
+        if len(calls) == 3:
+            raise RuntimeError("the third draw failed")
+        return sample_T(n, rng)
+
+    monkeypatch.setattr(cli, "sample_T", draw)
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_failed_run_leaves_no_file_at_out(tmp_path, capsys, monkeypatch, existed):
+    out = tmp_path / "g.jsonl"
+    if existed:
+        out.write_text("an earlier run\n")
+    _failing_third_draw(monkeypatch)
+    code = run_cli(["gen", "--n", "4", "--count", "5", "--seed", "1", "--out", str(out)])
+    assert code == cli.EXIT_INTERNAL
+    assert "the third draw failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_failed_run_keeps_the_lines_already_on_stdout(capsys, monkeypatch):
+    _failing_third_draw(monkeypatch)
+    assert run_cli(["gen", "--n", "4", "--count", "5", "--seed", "1"]) == cli.EXIT_INTERNAL
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["trial"] for line in lines] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--n", "4", "--count", "3"], ["quantum-run", "--n", "4", "--trials", "3"]]
+)
+def test_an_unwritable_out_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "sample_T", lambda n, rng: calls.append(n))
+    out = tmp_path / "missing" / "out"
+    assert run_cli(argv + ["--seed", "1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert calls == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_failed_write_is_refused_and_leaves_the_device(capsys, monkeypatch):
+    # every write to /dev/full fails; only a regular file at --out is removed,
+    # and the recorder stands in for os.remove, so a device is never at risk
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    assert run_cli(["gen", "--n", "4", "--count", "3", "--seed", "1", "--out", "/dev/full"]) == (
+        cli.EXIT_CONFIG
+    )
+    assert capsys.readouterr().err.startswith("error: cannot write /dev/full: ")
+    assert removed == []
 
 
 def test_unknown_command_is_config_error(capsys):

@@ -9,8 +9,10 @@ median to the previous file's change median.  That last ratio is 1 when
 the two runs of the same commit agree; away from 1 it shows the drift of
 the host between benchmark runs.  The last three columns are the change
 median over the parent median of the other metrics the regression gate
-reads: ``setup_s``, ``peak_rss_mb`` and ``trials_per_s`` (``-`` where no
-pair has both readings).
+reads, ``setup_s``, ``peak_rss_mb`` and ``trials_per_s``, each followed by
+the pairs the change won on that metric out of the pairs with both
+readings, such as ``0.833 (10/10)`` (``-`` where no pair has both).  A
+win is the better reading: lower, or higher for ``trials_per_s``.
 
 Usage, from the root of a checkout (standard library only):
 
@@ -32,8 +34,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 METRIC = "wall_s"
-#: The gate's other end-to-end metrics, each with its column heading.
-GATE_METRICS = {"setup_s": "setup", "peak_rss_mb": "rss", "trials_per_s": "trials/s"}
+#: The gate's other end-to-end metrics: column heading, and whether higher is better.
+GATE_METRICS = {
+    "setup_s": ("setup", False),
+    "peak_rss_mb": ("rss", False),
+    "trials_per_s": ("trials/s", True),
+}
 
 
 class WorkloadRow(NamedTuple):
@@ -43,6 +49,8 @@ class WorkloadRow(NamedTuple):
     change_median: float
     #: change median over parent median per GATE_METRICS name, None without a pair
     gate_ratios: dict[str, float | None]
+    #: (change wins, pairs with both readings) per GATE_METRICS name
+    gate_wins: dict[str, tuple[int, int]]
 
 
 def _readings(pairs: list[dict], metric: str) -> list[tuple[float, float]]:
@@ -62,6 +70,12 @@ def _median_ratio(values: list[tuple[float, float]]) -> float | None:
     return statistics.median(c for _, c in values) / statistics.median(p for p, _ in values)
 
 
+def _wins(values: list[tuple[float, float]], higher: bool) -> tuple[int, int]:
+    """Pairs the change won, ties for neither side, and the pairs read."""
+    won = sum((c > p) if higher else (c < p) for p, c in values)
+    return won, len(values)
+
+
 def summarize(record: dict) -> dict[str, WorkloadRow]:
     """Pairs, change wins and medians of ``wall_s`` per workload of one BENCH file."""
     rows = {}
@@ -69,12 +83,16 @@ def summarize(record: dict) -> dict[str, WorkloadRow]:
         values = _readings(pairs, METRIC)
         if not values:
             continue
+        gates = {metric: _readings(pairs, metric) for metric in GATE_METRICS}
         rows[workload] = WorkloadRow(
             pairs=len(values),
             change_wins=sum(c < p for p, c in values),
             parent_median=statistics.median(p for p, _ in values),
             change_median=statistics.median(c for _, c in values),
-            gate_ratios={metric: _median_ratio(_readings(pairs, metric)) for metric in GATE_METRICS},
+            gate_ratios={metric: _median_ratio(read) for metric, read in gates.items()},
+            gate_wins={
+                metric: _wins(read, GATE_METRICS[metric][1]) for metric, read in gates.items()
+            },
         )
     return rows
 
@@ -89,11 +107,15 @@ def bench_files(directory: Path) -> list[Path]:
     return [path for _, path in sorted(found)]
 
 
+def _gate_cell(ratio: float | None, wins: tuple[int, int]) -> str:
+    return "-" if ratio is None else f"{ratio:.3f} ({wins[0]}/{wins[1]})"
+
+
 def trajectory_lines(directory: Path) -> list[str]:
     header = (
         f"{'file':<14}{'workload':<11}{'pairs':>6}{'wins':>6}"
         f"{'parent_s':>10}{'change_s':>10}{'change/parent':>15}{'parent/prev':>13}"
-        + "".join(f"{heading + ' c/p':>14}" for heading in GATE_METRICS.values())
+        + "".join(f"{heading + ' c/p':>16}" for heading, _ in GATE_METRICS.values())
     )
     lines = [header]
     previous: dict[str, WorkloadRow] = {}
@@ -107,8 +129,8 @@ def trajectory_lines(directory: Path) -> list[str]:
                 f"{row.parent_median:>10.3f}{row.change_median:>10.3f}"
                 f"{row.change_median / row.parent_median:>15.3f}{drift:>13}"
                 + "".join(
-                    f"{'-' if ratio is None else f'{ratio:.3f}':>14}"
-                    for ratio in row.gate_ratios.values()
+                    f"{_gate_cell(row.gate_ratios[metric], row.gate_wins[metric]):>16}"
+                    for metric in GATE_METRICS
                 )
             )
         previous = {**previous, **rows}
