@@ -40,10 +40,6 @@ from .seeding import HYPERGEOM_MAX, HalfWords, substream
 #: Work cap for :func:`bayes_success`: (2n-1)!! 4^n (message classes + 1) entries visited.
 ENUMERATION_BUDGET = 10**9
 
-#: Largest n whose budget refusals print their counts in full: (2n-1)!! 4^n (4^n + 1)
-#: has over 4,300 digits from n = 1051 on, which Python refuses to print.
-_FULL_COUNT_MAX_N = 1000
-
 #: Cap on the number of Alice maps the brute force will enumerate.
 MAP_BUDGET = 1 << 16
 
@@ -228,14 +224,16 @@ def run_subset_trials(
 
 def _check_enumeration_budget(n: int, c: int) -> None:
     """Refuse :func:`bayes_success` of a c-bit map at n over :data:`ENUMERATION_BUDGET`."""
-    if n > _FULL_COUNT_MAX_N:
-        work = f"over 2^{3 * n}"  # below the count, which is too long to print
+    if 2 * n >= ENUMERATION_BUDGET.bit_length():
+        # one pass over the 4^n values of x alone is over budget: no count is built
+        work = f"over 2^{2 * n}"
     else:
         work = count_matchings(2 * n) * (1 << (2 * n)) * ((1 << min(c, 2 * n)) + 1)
-    if n > _FULL_COUNT_MAX_N or work > ENUMERATION_BUDGET:
-        raise BudgetExceeded(
-            f"exact enumeration needs {work} tuple visits, budget is {ENUMERATION_BUDGET}"
-        )
+        if work <= ENUMERATION_BUDGET:
+            return
+    raise BudgetExceeded(
+        f"exact enumeration needs {work} tuple visits, budget is {ENUMERATION_BUDGET}"
+    )
 
 
 def _gap_table(n: int) -> tuple[np.ndarray, int]:
@@ -329,17 +327,18 @@ def bruteforce_optimal(n: int, c: int) -> SuccessReport:
     """
     if n < 1 or c < 0:
         raise ValueError("need n >= 1 and c >= 0")
-    if c == 0 or c >= 2 * n - 1 or n > _FULL_COUNT_MAX_N:
-        # before the 4^n-entry map below is built, or a map count too long to print
+    if c == 0 or c >= 2 * n - 1 or 2 * n >= ENUMERATION_BUDGET.bit_length():
+        # before the 4^n-entry map below is built, or any map count
         _check_enumeration_budget(n, min(c, 2 * n - 1))
     num_x = 1 << (2 * n)
     if c == 0:
         value = bayes_success(alice_constant(n), n, 0)
         witness = _message_lists(alice_constant(n), n, 0)
     elif c == 1:
-        # compare exponents: the count 2^num_x itself would have 4^n + 1 bits
-        if num_x > MAP_BUDGET.bit_length() - 1:
-            raise BudgetExceeded(f"2^{num_x} one-bit maps exceed map budget {MAP_BUDGET}")
+        # the complement-closed scan covers 2^(num_x/2 - 1) maps: compare exponents
+        maps_log2 = num_x // 2 - 1
+        if maps_log2 > MAP_BUDGET.bit_length() - 1:
+            raise BudgetExceeded(f"2^{maps_log2} one-bit maps exceed map budget {MAP_BUDGET}")
         value, alice = _bruteforce_one_bit(n)
         witness = _message_lists(alice, n, 1)
     elif c >= 2 * n - 1:

@@ -13,7 +13,7 @@ documents as stable (the constants are those of
 to the numpy route that tests keep as the oracle.  The hash folds the
 entropy words in one at a time, so the pool after every word but the
 last is shared by all paths that differ only in their last word.  One
-cache entry hashes that prefix once and runs the rest of the hash for a
+cache entry hashes that prefix once and finishes the hash for a
 block of ``_BLOCK`` consecutive last words at once, as ``uint32`` array
 arithmetic, giving the four PCG64 seed words of each.  Runners that
 count trials in the last path entry therefore pay the hash about once
@@ -111,21 +111,17 @@ def _pool(words: list) -> list:
 
 
 @functools.lru_cache(maxsize=_CACHED_BLOCKS)
-def _state_block(
-    seed: int, head: tuple[int, ...], split: int, rest: int, block: int
-) -> np.ndarray:
+def _state_block(seed: int, head: tuple[int, ...], block: int) -> np.ndarray:
     """PCG64 seed words of ``_BLOCK`` paths ``head + (entry,)``, one row each.
 
     Row i is ``SeedSequence(seed, spawn_key=head + (entry,)).generate_state(4,
-    np.uint64)`` for ``entry = rest + ((block * _BLOCK + i) << split)``,
-    where ``rest < 2**split`` and ``split`` is a multiple of 32.
+    np.uint64)`` for ``entry = block * _BLOCK + i``.
     """
     words = _words(seed)
     # with a spawn key, SeedSequence pads the seed's words to the pool size
     words += [0] * (_POOL_SIZE - len(words))
     for entry in head:
         words += _words(entry)
-    words += [rest >> shift & _MASK32 for shift in range(0, split, 32)]
     words.append(np.arange(_BLOCK, dtype=np.uint32) + block * _BLOCK)
     pool = _pool(words)
     # generate_state(4, np.uint64): 8 uint32 words, cycling over the pool
@@ -179,18 +175,14 @@ def substream(seed: int, *path: int) -> Generator:
         raise ValueError("substream needs at least one path entry")
     if min(path) < 0:
         raise ValueError(f"seed path entries must be nonnegative, got {path}")
-    last = path[-1]
-    # the hash takes the last entry's top 32-bit word last: consecutive
-    # values of that word share the hash of everything before it
-    if last <= _MASK32:
-        # one word, the top word itself: no split
-        block, row = divmod(last, _BLOCK)
-        seeds = _state_block(seed, path[:-1], 0, 0, block)
-    else:
-        split = (last.bit_length() - 1) // 32 * 32
-        top = last >> split
-        block, row = divmod(top, _BLOCK)
-        seeds = _state_block(seed, path[:-1], split, last - (top << split), block)
+    head, last = path[:-1], path[-1]
+    if last > _MASK32:
+        # SeedSequence hashes an entry as its 32-bit words: (..., last) is (..., *words)
+        *low, last = _words(last)
+        head += tuple(low)
+    # consecutive last words share the hash of everything before them
+    block, row = divmod(last, _BLOCK)
+    seeds = _state_block(seed, head, block)
     generator, pcg64, seed_words = _seeded_generator_types()
     return generator(pcg64(seed_words(seeds[row])))
 

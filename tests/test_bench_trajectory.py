@@ -118,6 +118,21 @@ def test_reads_the_instances_pairs_of_bench_37():
     assert traced["parent"]["cli.emit.bytes"] == traced["change"]["cli.emit.bytes"]
 
 
+def test_reads_the_sweep_pairs_of_bench_38():
+    # no gain claimed: ten pairs on sweep, where substream runs, the others alongside
+    record = json.loads((ROOT / "BENCH_38.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    assert {w: rows[w].pairs for w in rows} == {"sweep": 10, "instances": 1, "verify": 1, "exact": 1}
+    row = rows["sweep"]
+    assert (row.pairs, row.change_wins) == (10, 7)
+    assert (round(row.parent_median, 3), round(row.change_median, 3)) == (0.396, 0.393)
+    assert record["claim"].startswith("No gain claimed")
+    # the same streams: every pair's digests and the traced substream count agree
+    assert all(pair["digests_equal"] for pairs in record["runs"].values() for pair in pairs)
+    traced = {s: record["traced"]["sweep"][s]["final"]["metrics"] for s in ("parent", "change")}
+    assert [traced[s]["seeding.substream.calls"]["value"] for s in traced] == [40000, 40000]
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

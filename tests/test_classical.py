@@ -428,8 +428,8 @@ def test_bayes_success_validation_and_budget():
     with pytest.raises(ValueError, match="must be integers"):
         bayes_success([0.5] * 16, 2, 1)
     # the budget is checked before the map, so no 4^n count is built or printed
-    for n in (1001, 10000):
-        message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 1000000000"
+    for n in (15, 1001, 10000):
+        message = f"exact enumeration needs over 2^{2 * n} tuple visits, budget is 1000000000"
         with pytest.raises(BudgetExceeded, match=re.escape(message)):
             bayes_success(np.zeros(4, dtype=np.int64), n, 1)
 

@@ -136,18 +136,27 @@ def test_bruteforce_answers_the_cells_under_the_enumeration_budget(tmp_path, n, 
         assert record["witness"]["message_0"][-1] == "1" * (2 * n)
 
 
+def over_budget_message(n):
+    """The enumeration refusal from n = 15 on, where one pass over x passes the budget."""
+    return f"exact enumeration needs over 2^{2 * n} tuple visits, budget is 1000000000"
+
+
 @pytest.mark.parametrize("n", [3, 10, 40, 1000])
 def test_bruteforce_refuses_one_bit_maps_over_budget(tmp_path, capsys, n):
     out = tmp_path / "b.json"
     code = run_cli(["bruteforce", "--n", str(n), "--bits", "1", "--out", str(out)])
     assert code == cli.EXIT_BUDGET
-    message = f"budget exceeded: 2^{4**n} one-bit maps exceed map budget 65536\n"
-    assert capsys.readouterr().err == message
+    if n < 15:
+        # the complement-closed scan's count: 2^31 at n = 3
+        message = f"2^{4**n // 2 - 1} one-bit maps exceed map budget 65536"
+    else:
+        message = over_budget_message(n)
+    assert capsys.readouterr().err == f"budget exceeded: {message}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "n, bits", [(6, 11), (6, 12), (7, 0), (40, 0), (40, 79), (40, 80), (1000, 0)]
+    "n, bits", [(6, 11), (6, 12), (7, 0), (14, 27), (40, 0), (40, 79), (40, 80), (1000, 0)]
 )
 def test_bruteforce_refuses_exact_enumeration_over_budget(tmp_path, capsys, n, bits):
     # checked before the 4^n-entry constant or difference message map is built;
@@ -155,27 +164,39 @@ def test_bruteforce_refuses_exact_enumeration_over_budget(tmp_path, capsys, n, b
     out = tmp_path / "b.json"
     code = run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)])
     assert code == cli.EXIT_BUDGET
-    classes = 2 ** min(bits, 2 * n - 1)
-    work = math.prod(range(1, 2 * n, 2)) * 4**n * (classes + 1)
-    message = (
-        f"budget exceeded: exact enumeration needs {work} tuple visits, budget is 1000000000\n"
-    )
-    assert capsys.readouterr().err == message
+    if n < 15:
+        classes = 2 ** min(bits, 2 * n - 1)
+        work = math.prod(range(1, 2 * n, 2)) * 4**n * (classes + 1)
+        message = f"exact enumeration needs {work} tuple visits, budget is 1000000000"
+    else:
+        message = over_budget_message(n)
+    assert capsys.readouterr().err == f"budget exceeded: {message}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "n, bits", [(1001, 1), (1500, 0), (10000, 1), (10000, 5), (100000, 200000)]
+    "n, bits", [(15, 1), (1001, 1), (1500, 0), (10000, 1), (10000, 5), (100000, 200000)]
 )
 def test_bruteforce_refuses_counts_past_the_digit_limit_as_over_budget(tmp_path, capsys, n, bits):
-    # past n = 1000 an exact count can pass 4,300 digits, which Python refuses
-    # to print, so every --bits refuses on the enumeration budget's power of two
+    # from n = 15 on every --bits refuses on the budget's power of two, so no
+    # count is built, and none can pass the digits Python prints
     out = tmp_path / "b.json"
     code = run_cli(["bruteforce", "--n", str(n), "--bits", str(bits), "--out", str(out)])
     assert code == cli.EXIT_BUDGET
-    message = f"exact enumeration needs over 2^{3 * n} tuple visits, budget is 1000000000"
-    assert capsys.readouterr().err == f"budget exceeded: {message}\n"
+    assert capsys.readouterr().err == f"budget exceeded: {over_budget_message(n)}\n"
     assert not out.exists()
+
+
+def test_bruteforce_refuses_under_a_low_digit_limit(tmp_path, capsys):
+    # the refusal builds no count, so a digit limit far below the default holds
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run_cli(["bruteforce", "--n", "300", "--bits", "0"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == f"budget exceeded: {over_budget_message(300)}\n"
 
 
 def test_gamma_report(tmp_path, capsys):
@@ -351,6 +372,24 @@ def test_injected_fault_fails_loudly(tmp_path, monkeypatch):
     records = read_json_lines(out)
     assert records[-1]["passed"] is False
     assert "convolution_theorem" in records[-1]["failed"]
+
+
+@pytest.mark.parametrize("trials, passed", [(10, False), (2000, True)])
+def test_subset_oracle_fails_when_no_bucket_is_compared(trials, passed):
+    # buckets under 200 trials are skipped; a run that fills none checked nothing
+    result = verify.check_subset_oracle(1, trials)
+    assert result.passed is passed
+    assert result.to_json_dict().keys() == {"check", "passed", "max_gap", "unit"}
+
+
+def test_verify_all_with_too_few_trials_names_subset_oracle(tmp_path):
+    out = tmp_path / "v.jsonl"
+    code = run_cli(
+        ["verify-all", "--m", "4", "--cases", "1", "--trials", "100", "--seed", "1",
+         "--out", str(out)]
+    )
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert "subset_oracle" in read_json_lines(out)[-1]["failed"]
 
 
 def test_amplification_check_fails_on_a_wrong_single_shot_value(monkeypatch):

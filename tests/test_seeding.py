@@ -34,11 +34,25 @@ def test_substream_equals_the_seed_sequence_route(seed, head, last):
 
 
 @pytest.mark.parametrize(
-    "path", [(2**32,), (2**32 + 5,), (4, 2**40 + BLOCK), (2**70, 3), (2**64,), (5, 2**64 + BLOCK + 1)]
+    "path",
+    [
+        (2**32,), (2**32 + 5,), (4, 2**40 + BLOCK), (2**70, 3), (2**64,), (5, 2**64 + BLOCK + 1),
+        # a three-word last entry, alone and after a multiword head
+        (2**96 - 1,), (2**40 + 7, 2**70 + 5),
+    ],
 )
 def test_substream_equals_the_seed_sequence_route_for_multiword_entries(path):
     ours, theirs = substream(99, *path), numpy_stream(99, *path)
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_a_multiword_last_entry_shares_the_block_of_its_words():
+    # SeedSequence hashes 2**40 + 3 as the words (3, 256), so both paths are one block
+    seeding._state_block.cache_clear()
+    ours = [substream(5, 2**40 + 3), substream(5, 3, 256)]
+    assert seeding._state_block.cache_info().misses == 1
+    for rng, path in zip(ours, [(2**40 + 3,), (3, 256)]):
+        assert rng.bit_generator.state == numpy_stream(5, *path).bit_generator.state
 
 
 def test_equal_paths_give_independent_generators_with_equal_draws():
