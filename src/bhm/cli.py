@@ -12,6 +12,7 @@ internal error (any other exception, its traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,14 +20,7 @@ import sys
 import traceback
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import classical, combinatorics, quantum, verify
 from .errors import BudgetExceeded
-# _sample_promise_arrays is not called here; the binding stays because
-# perfbench's tracer self-test checks that it wraps this module's name
-from .instances import _sample_promise_arrays, _sample_source_and_count, sample_T  # noqa: F401
-from .seeding import HYPERGEOM_MAX, HalfWords, substream
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,6 +37,36 @@ _FLAG_RULES: dict[str, tuple[int, bool, str]] = {
     "trials": _POSITIVE, "reps": (1, True, "odd and positive"), "mc": _POSITIVE,
     "count": _NONNEGATIVE, "bits": _NONNEGATIVE, "subset_size": _NONNEGATIVE,
 }
+
+
+@functools.cache
+def _bind_library() -> None:
+    """Import numpy and the library the commands run, as module globals.
+
+    Importing this module and building its parser load neither, so
+    ``--help`` and a refused flag cost no numpy start-up; ``main`` calls
+    this once a command's flags pass.  A command's own start-up is the
+    same either way: it loads all of this before its first draw.
+    """
+    import numpy as np
+
+    from . import classical, combinatorics, quantum, verify
+    # _sample_promise_arrays is not called here; the binding stays because
+    # perfbench's tracer self-test checks that it wraps this module's name
+    from .instances import _sample_promise_arrays, _sample_source_and_count, sample_T
+    from .seeding import HYPERGEOM_MAX, HalfWords, substream
+
+    globals().update(locals())
+
+
+def __getattr__(name: str) -> Any:
+    # a name read from outside before any command ran (a test's monkeypatch,
+    # a tracer's wrapper) may be one that _bind_library binds
+    _bind_library()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 def _format_value(value: Any) -> str:
@@ -112,6 +136,7 @@ def run_separation_sweep(
     and the disagreement count, and on the classical side the known-edge
     count (see :func:`classical.subset_trial_outcomes`).
     """
+    _bind_library()
     if not ns or any(v < 1 for v in ns) or list(ns) != sorted(set(ns)):
         grid = ",".join(map(str, ns))
         raise ValueError(f"--ns must be a strictly increasing list of positive n, got {grid!r}")
@@ -310,7 +335,8 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        ns = [int(v) for v in args.ns.split(",") if v]
+        # an empty entry ("4,,8", ",4") is refused; "" is an empty grid
+        ns = [int(v) for v in args.ns.split(",")] if args.ns else []
     except ValueError:
         raise ValueError(
             f"--ns must be a comma-separated list of integers, got {args.ns!r}"
@@ -423,6 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             value = getattr(args, dest, None)
             if value is not None and (value < least or odd and value % 2 == 0):
                 raise ValueError(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
+        _bind_library()
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -133,6 +133,21 @@ def test_reads_the_sweep_pairs_of_bench_38():
     assert [traced[s]["seeding.substream.calls"]["value"] for s in traced] == [40000, 40000]
 
 
+def test_reads_the_sweep_setup_pairs_of_bench_40():
+    # a set-up gain claimed on sweep: the parser no longer loads numpy
+    record = json.loads((ROOT / "BENCH_40.json").read_text())
+    rows = bench_trajectory.summarize(record)
+    assert {w: rows[w].pairs for w in rows} == {"sweep": 10, "instances": 4, "verify": 1, "exact": 4}
+    assert {w: rows[w].gate_wins["setup_s"] for w in rows} == {
+        "sweep": (10, 10), "instances": (4, 4), "verify": (1, 1), "exact": (4, 4)
+    }
+    assert round(rows["sweep"].gate_ratios["setup_s"], 3) == 0.382
+    assert record["claim"].startswith("Gain claimed on sweep setup_s")
+    assert all(pair["digests_equal"] for pairs in record["runs"].values() for pair in pairs)
+    traced = {s: record["traced"]["sweep"][s]["final"]["metrics"] for s in ("parent", "change")}
+    assert [traced[s]["seeding.substream.calls"]["value"] for s in traced] == [40000, 40000]
+
+
 def test_files_in_numeric_order_with_cross_file_drift(tmp_path, capsys):
     # ties count for neither side; a pair missing a reading is not a pair
     (tmp_path / "BENCH_9.json").write_text(

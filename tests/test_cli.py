@@ -595,6 +595,19 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
             ["sweep", "--ns", "8,4", "--trials", "0", "--subset-size", "2", "--seed", "1"],
             "--trials must be positive, got 0",
         ),
+        # an empty entry is refused, not dropped
+        (
+            ["sweep", "--ns", "4,,8", "--trials", "5", "--subset-size", "2", "--seed", "1"],
+            "--ns must be a comma-separated list of integers, got '4,,8'",
+        ),
+        (
+            ["sweep", "--ns", ",4", "--trials", "5", "--subset-size", "2", "--seed", "1"],
+            "--ns must be a comma-separated list of integers, got ',4'",
+        ),
+        (
+            ["sweep", "--ns", "", "--trials", "5", "--subset-size", "2", "--seed", "1"],
+            "--ns must be a strictly increasing list of positive n, got ''",
+        ),
     ],
 )
 def test_commands_name_the_flag_and_value(tmp_path, capsys, monkeypatch, argv, message):

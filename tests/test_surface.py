@@ -16,10 +16,13 @@ listed name resolves, and every public name imported there is listed.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 from pathlib import Path
 import subprocess
 import sys
+
+import pytest
 
 import bhm
 
@@ -35,11 +38,9 @@ ALLOWED = {
 }
 
 
-#: The modules that ``import bhm.cli`` loads: every module of the package.
-CLI_MODULES = [
-    "bhm", "bhm.classical", "bhm.cli", "bhm.combinatorics", "bhm.core", "bhm.errors",
-    "bhm.fourier", "bhm.instances", "bhm.quantum", "bhm.seeding", "bhm.verify",
-]
+#: The modules that ``import bhm.cli`` loads; the rest of the package, and
+#: numpy, load when a command runs (``cli._bind_library``).
+CLI_MODULES = ["bhm", "bhm.cli", "bhm.errors"]
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -118,6 +119,27 @@ def test_every_exported_name_resolves():
     assert [name for name in bhm.__all__ if not hasattr(bhm, name)] == []
 
 
+def test_every_export_is_its_home_modules_object():
+    # bhm binds its exports lazily; each one must be the definition itself
+    assert sorted(bhm.__all__) == sorted([*bhm._HOMES, "__version__"])
+    for name, home in bhm._HOMES.items():
+        assert getattr(bhm, name) is getattr(importlib.import_module(f"bhm.{home}"), name), name
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace: dict = {}
+    exec("from bhm import *", namespace)
+    assert set(bhm.__all__) <= namespace.keys()
+    assert all(namespace[name] is getattr(bhm, name) for name in bhm.__all__)
+    assert set(bhm.__all__) <= set(dir(bhm))
+
+
+def test_an_unknown_package_name_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as excinfo:
+        bhm.nope  # noqa: B018
+    assert str(excinfo.value) == "module 'bhm' has no attribute 'nope'"
+
+
 def test_every_public_reexport_is_exported():
     # a stale re-export would otherwise only break ``from bhm import *``
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -141,9 +163,48 @@ def test_a_bare_name_refers_to_its_own_module_or_an_import():
     assert unreferenced_public_names(trees) == ["a.check"]
 
 
-def test_importing_the_cli_loads_the_same_bhm_modules():
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_the_same_bhm_modules():
     code = "import sys, bhm.cli; print(*sorted(m for m in sys.modules if m.startswith('bhm')))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = _fresh_python(code)
     assert run.returncode == 0 and run.stdout.split() == CLI_MODULES
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import bhm",
+        "import bhm.cli; bhm.cli.build_parser()",
+        # help and a refused flag exit before the library binds
+        "import bhm.cli; assert bhm.cli.main(['--help']) == 0",
+        "import bhm.cli; assert bhm.cli.main(['gen', '--n', '0', '--count', '1', '--seed', '1']) == 2",
+    ],
+)
+def test_the_cli_loads_no_numpy_until_a_command_runs(code):
+    run = _fresh_python(code + "\nimport sys; assert 'numpy' not in sys.modules, 'numpy loaded'")
+    assert run.returncode == 0, run.stderr
+
+
+def test_a_command_binds_the_library_once_its_flags_pass():
+    code = (
+        "import sys, bhm.cli as cli; "
+        "assert cli.main(['gamma', '--n', '2', '--k', '2']) == 0; "
+        "assert 'numpy' in sys.modules; "
+        "import bhm.instances, bhm.seeding; "
+        "assert cli.sample_T is bhm.instances.sample_T and cli.substream is bhm.seeding.substream"
+    )
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+
+
+def test_an_unknown_cli_name_is_the_standard_attribute_error():
+    import bhm.cli
+
+    with pytest.raises(AttributeError) as excinfo:
+        bhm.cli.nope  # noqa: B018
+    assert str(excinfo.value) == "module 'bhm.cli' has no attribute 'nope'"
